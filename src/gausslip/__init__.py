@@ -10,7 +10,6 @@ from .errors import CancellationWarning, CatalogError, ConvergenceError, Evaluat
 from .quadrature import (
     QuadratureRule,
     gauss_hermite_rule,
-    halfline_rule,
     integrate_gaussian,
     integrate_halfline,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CancellationWarning, ConvergenceError
-from .quadrature import _eval_vectorized
+from .quadrature import eval_batch, tensor_grid
 
 _GL_ORDERS = (16, 24)
 
@@ -87,18 +87,9 @@ def nested_integral_form(f_deriv_k, query: ForwardDifferenceQuery, tol: float = 
     results = []
     for m in _GL_ORDERS:
         x, w = np.polynomial.legendre.leggauss(m)
-        offs = 0.5 * s * (x + 1.0)
-        wts = 0.5 * s * w
-        total = np.zeros(())
-        grids = np.meshgrid(*([offs] * k), indexing="ij")
-        pts = t + sum(grids)
-        vals = _eval_vectorized(f_deriv_k, pts.ravel()).reshape(pts.shape)
-        wgrids = np.meshgrid(*([wts] * k), indexing="ij")
-        weight = np.ones_like(pts)
-        for g in wgrids:
-            weight = weight * g
-        total = float(np.sum(weight * vals))
-        results.append(total)
+        offs, weight = tensor_grid([(0.5 * s * (x + 1.0), 0.5 * s * w)] * k)
+        vals = eval_batch(f_deriv_k, t + offs.sum(axis=1))
+        results.append(float(np.sum(weight * vals)))
     err = abs(results[1] - results[0])
     if err > tol * (1.0 + abs(results[1])):
         raise ConvergenceError(

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .forward_diff import forward_difference_curve
-from .hermite import HermiteExpansion, as_function, project, scale_by_level
+from .hermite import DEFAULT_DEGREE_CAP, HermiteExpansion, as_function, project, scale_by_level
 from .quadrature import default_rule, integrate_halfline
 
 KINDS = ("bessel_potential", "riesz_potential", "riesz_derivative", "bessel_derivative")
@@ -194,7 +194,6 @@ def apply_fractional(f, spec: FractionalSpec, *, d: int = 1,
     """
     wrapped = False
     if not isinstance(f, HermiteExpansion):
-        from .hermite import DEFAULT_DEGREE_CAP
         if degree_cap is None:
             degree_cap = DEFAULT_DEGREE_CAP.get(d, 12)
         if rule is None:
@@ -225,25 +224,20 @@ def apply_fractional(f, spec: FractionalSpec, *, d: int = 1,
     return as_function(out) if wrapped else out
 
 
-def bessel_potential(f, spec: FractionalSpec, **kw):
-    if spec.kind != "bessel_potential":
-        raise ValueError("spec.kind must be 'bessel_potential'")
-    return apply_fractional(f, spec, **kw)
+def _kind_alias(kind: str):
+    """``apply_fractional`` restricted to specs of one operator kind."""
+
+    def apply(f, spec: FractionalSpec, **kw):
+        if spec.kind != kind:
+            raise ValueError(f"spec.kind must be {kind!r}")
+        return apply_fractional(f, spec, **kw)
+
+    apply.__name__ = apply.__qualname__ = kind
+    apply.__doc__ = f"apply_fractional for specs of kind {kind!r}."
+    return apply
 
 
-def riesz_potential(f, spec: FractionalSpec, **kw):
-    if spec.kind != "riesz_potential":
-        raise ValueError("spec.kind must be 'riesz_potential'")
-    return apply_fractional(f, spec, **kw)
-
-
-def riesz_derivative(f, spec: FractionalSpec, **kw):
-    if spec.kind != "riesz_derivative":
-        raise ValueError("spec.kind must be 'riesz_derivative'")
-    return apply_fractional(f, spec, **kw)
-
-
-def bessel_derivative(f, spec: FractionalSpec, **kw):
-    if spec.kind != "bessel_derivative":
-        raise ValueError("spec.kind must be 'bessel_derivative'")
-    return apply_fractional(f, spec, **kw)
+bessel_potential = _kind_alias("bessel_potential")
+riesz_potential = _kind_alias("riesz_potential")
+riesz_derivative = _kind_alias("riesz_derivative")
+bessel_derivative = _kind_alias("bessel_derivative")

@@ -15,8 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .quadrature import QuadratureRule, default_rule, tensor_nodes, _eval_vectorized
-from .errors import EvaluationError
+from .quadrature import QuadratureRule, default_rule, eval_batch, tensor_nodes
 
 DEFAULT_DEGREE_CAP = {1: 40, 2: 20, 3: 12}
 
@@ -67,6 +66,16 @@ def as_points(x, d: int) -> np.ndarray:
     return x
 
 
+def point_or_batch(x, vals: np.ndarray, d: int):
+    """``vals`` as a float when ``x`` was a single point, else the batch itself.
+
+    A single point is a scalar for d = 1 and a length-d vector for d > 1.
+    """
+    if np.ndim(vals) == 0 or np.ndim(x) == 0 or (d > 1 and np.ndim(x) == 1):
+        return float(np.reshape(vals, -1)[0])
+    return vals
+
+
 def hermite_eval(nu, x):
     """Value of the orthonormal product Hermite polynomial h_nu at x.
 
@@ -80,11 +89,7 @@ def hermite_eval(nu, x):
     for axis, n in enumerate(nu):
         table = hermite_values_1d(n, pts[..., axis])
         val = val * table[n]
-    if val.shape == ():
-        return float(val)
-    if np.asarray(x).ndim <= 1 and d > 1:
-        return float(val[0])
-    return val
+    return point_or_batch(x, val, d)
 
 
 @dataclass(frozen=True)
@@ -113,19 +118,8 @@ class HermiteExpansion:
     def coefficient(self, nu) -> float:
         return self.coefficients.get(check_multi_index(nu), 0.0)
 
-    def levels(self) -> dict:
-        """Coefficients grouped by total degree |nu|."""
-        out: dict = {}
-        for nu, c in self.coefficients.items():
-            out.setdefault(sum(nu), {})[nu] = c
-        return out
-
     def max_level(self) -> int:
         return max((sum(nu) for nu in self.coefficients), default=0)
-
-
-def expansion_from_coeffs(d: int, n_max: int, coeffs: dict) -> HermiteExpansion:
-    return HermiteExpansion(dimension=d, degree_cap=n_max, coefficients=coeffs)
 
 
 def project(f, d: int, n_max: int, rule: QuadratureRule | None = None) -> HermiteExpansion:
@@ -135,10 +129,7 @@ def project(f, d: int, n_max: int, rule: QuadratureRule | None = None) -> Hermit
     if rule is None:
         rule = default_rule()
     pts, w = tensor_nodes(rule, d)
-    vals = _eval_vectorized(f, pts)
-    if not np.all(np.isfinite(vals)):
-        node = pts[int(np.argmax(~np.isfinite(vals)))]
-        raise EvaluationError(f"function is not finite at node {node.tolist()}", node=node)
+    vals = eval_batch(f, pts)
     norm = math.pi ** (d / 2.0)
     tables = [hermite_values_1d(n_max, pts[:, axis]) for axis in range(d)]
     wv = w * vals
@@ -164,11 +155,7 @@ def eval_expansion(e: HermiteExpansion, x):
         for axis in range(1, e.dimension):
             term = term * tables[axis][nu[axis]]
         val = val + c * term
-    if val.shape == ():
-        return float(val)
-    if np.asarray(x).ndim <= 1 and e.dimension > 1:
-        return float(val[0])
-    return val
+    return point_or_batch(x, val, e.dimension)
 
 
 def as_function(e: HermiteExpansion):

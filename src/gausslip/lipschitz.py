@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractional import FractionalSpec, apply_fractional
-from .hermite import HermiteExpansion, eval_expansion, project, scale_by_level
+from .fractional import FractionalSpec, apply_fractional, smallest_integer_above
+from .hermite import HermiteExpansion, eval_expansion, project, remove_mean, scale_by_level
 from .quadrature import default_rule
 from .semigroup import SemigroupQuery, ph_apply
 
@@ -27,10 +27,6 @@ COMPARABILITY_WINDOW = (1.0 / 50.0, 50.0)
 
 #: maximal relative drift of a seminorm under one t-grid refinement
 STABILITY_DRIFT = 0.25
-
-
-def smallest_integer_above(alpha: float) -> int:
-    return int(math.floor(alpha)) + 1
 
 
 @dataclass(frozen=True)
@@ -58,6 +54,10 @@ class LipschitzEstimate:
     rows: tuple
     flags: tuple
     supnorm_is_grid_proxy: bool = True
+
+
+def _sorted_t_grid(t_grid) -> tuple:
+    return tuple(sorted(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID)))
 
 
 def _as_expansion(f, degree_cap: int = 40, d: int = 1) -> HermiteExpansion:
@@ -116,7 +116,7 @@ def seminorm_estimate(f, alpha: float, t_grid=None, x_radius: float = 3.0, *,
         n = smallest_integer_above(alpha)
     if n <= alpha:
         raise ValueError(f"derivative order n={n} must exceed alpha={alpha}")
-    t_grid = tuple(sorted(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID)))
+    t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
     sup_f = sup_norm_estimate(e, x_radius, grid_points)
     rows = []
@@ -162,7 +162,7 @@ def modulus_probe(f, alpha: float, n: int | None = None, t_grid=None, *,
         raise ValueError("the modulus probe requires non-integer alpha")
     if n is None:
         n = smallest_integer_above(alpha)
-    t_grid = tuple(sorted(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID)))
+    t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
     sup_f = sup_norm_estimate(e, x_radius, grid_points).value
     rows = []
@@ -242,7 +242,7 @@ def inclusion_probe(f, alpha1: float, alpha2: float, t_grid=None, *,
     if not 0 < alpha1 <= alpha2:
         raise ValueError("the probe requires 0 < alpha1 <= alpha2")
     n = smallest_integer_above(alpha2)
-    t_grid = tuple(sorted(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID)))
+    t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
     sup_rows = _derivative_sup_rows(e, n, t_grid, x_radius, grid_points)
     a1 = max((t ** (n - alpha1) * s for t, s in sup_rows), default=0.0)
@@ -293,14 +293,13 @@ def operator_boundedness_probe(op: FractionalSpec, f_suite, alpha: float,
         target_alpha = alpha - op.beta
     else:
         target_alpha = alpha + op.beta
-    t_grid = tuple(sorted(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID)))
+    t_grid = _sorted_t_grid(t_grid)
     refined = tuple(np.geomspace(t_grid[0], t_grid[-1], 2 * len(t_grid)))
     rows = []
     stable = True
     for name, f in f_suite:
         e = _as_expansion(f, degree_cap)
         if op.kind == "riesz_potential" and op.representation == "integral":
-            from .hermite import remove_mean
             e = remove_mean(e)
         source = seminorm_estimate(e, alpha, t_grid, x_radius,
                                    degree_cap=degree_cap, grid_points=grid_points)

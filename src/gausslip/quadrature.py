@@ -32,36 +32,22 @@ _LOG_CAP = 700.0
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights for ∫ e^{-x^2} f(x) dx plus adaptive-integration config.
-
-    ``kind`` is ``"gauss_hermite"`` (nodes/weights populated) or
-    ``"adaptive_halfline"`` (a configuration carrier with empty node lists).
-    """
+    """Nodes and positive weights of a rule for ∫ e^{-x^2} f(x) dx."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str = "gauss_hermite"
-    order: int = 0
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 60
 
     def __post_init__(self):
         nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if self.kind not in ("gauss_hermite", "adaptive_halfline"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
         if nodes.shape != weights.shape:
             raise ValueError("nodes and weights must have the same length")
-        if weights.size and np.any(weights <= 0.0):
+        if np.any(weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "order", int(self.order) or nodes.size)
 
 
 def gauss_hermite_rule(m: int) -> QuadratureRule:
@@ -72,20 +58,25 @@ def gauss_hermite_rule(m: int) -> QuadratureRule:
     if m < 1:
         raise ValueError("node count m must be >= 1")
     nodes, weights = np.polynomial.hermite.hermgauss(m)
-    return QuadratureRule(nodes=nodes, weights=weights, kind="gauss_hermite", order=m)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def default_rule(m: int = 64) -> QuadratureRule:
     return gauss_hermite_rule(m)
 
 
-def halfline_rule(rel_tol: float = 1e-10, abs_tol: float = 1e-12,
-                  max_subdivisions: int = 60) -> QuadratureRule:
-    """Configuration carrier for the adaptive semi-infinite integrator."""
-    return QuadratureRule(nodes=np.empty(0), weights=np.empty(0),
-                          kind="adaptive_halfline", order=15,
-                          rel_tol=rel_tol, abs_tol=abs_tol,
-                          max_subdivisions=max_subdivisions)
+def tensor_grid(axes) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of per-axis ``(nodes, weights)`` pairs.
+
+    Returns points of shape (n, d) in row-major order and product weights
+    (n,), multiplied axis by axis starting from axis 0.
+    """
+    nodes, weights = zip(*axes)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=-1)
+    w = np.ones(pts.shape[0])
+    for g in np.meshgrid(*weights, indexing="ij"):
+        w *= g.ravel()
+    return pts, w
 
 
 _TENSOR_CACHE: dict = {}
@@ -93,21 +84,15 @@ _TENSOR_CACHE: dict = {}
 
 def tensor_nodes(rule: QuadratureRule, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensorize a 1-d rule: points of shape (m^d, d) and product weights (m^d,)."""
-    if rule.kind != "gauss_hermite":
-        raise ValueError("tensor grids require a gauss_hermite rule")
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if d > 3:
         raise ValueError("tensor grids are capped at d <= 3")
-    key = (rule.nodes.tobytes(), d)
+    key = (rule.nodes.tobytes(), rule.weights.tobytes(), d)
     hit = _TENSOR_CACHE.get(key)
     if hit is not None:
         return hit
-    axes = np.meshgrid(*([rule.nodes] * d), indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=-1)
-    w = np.ones(pts.shape[0])
-    for i in range(d):
-        w *= rule.weights[np.unravel_index(np.arange(pts.shape[0]), (rule.order,) * d)[i]]
+    pts, w = tensor_grid([(rule.nodes, rule.weights)] * d)
     pts.setflags(write=False)
     w.setflags(write=False)
     if len(_TENSOR_CACHE) > 32:
@@ -116,38 +101,45 @@ def tensor_nodes(rule: QuadratureRule, d: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, w
 
 
-def _eval_vectorized(f, x: np.ndarray) -> np.ndarray:
-    """Call ``f`` on a batch, falling back to a per-point loop."""
+def eval_batch(f, x: np.ndarray) -> np.ndarray:
+    """Evaluate a user callable on a batch of n nodes: the batch contract.
+
+    ``x`` holds n points of shape (n, d) or n scalar nodes of shape (n,).
+    On points ``f`` must return shape (n,); on scalar nodes it may also
+    return a payload of shape (n, ...), as half-line integrands do.  A scalar
+    result is broadcast to every node.  A callable that rejects the batch with
+    TypeError or ValueError is called once per node instead.  Any other
+    result shape raises ValueError naming it, and a non-finite value raises
+    EvaluationError carrying its node.
+    """
+    n = x.shape[0]
     try:
         vals = np.asarray(f(x), dtype=float)
-    except Exception:
-        vals = None
-    if vals is not None:
-        if vals.shape == ():
-            return np.full(x.shape[0], float(vals))
-        if vals.shape[0] == x.shape[0]:
-            return vals
-    out = [f(x[i]) for i in range(x.shape[0])]
-    return np.asarray(out, dtype=float)
+    except (TypeError, ValueError):
+        vals = np.asarray([f(x[i]) for i in range(n)], dtype=float)
+    if vals.shape == ():
+        vals = np.full(n, float(vals))
+    elif vals.shape[:1] != (n,) or (x.ndim > 1 and vals.ndim > 1):
+        expected = f"({n},)" if x.ndim > 1 else f"({n},) or ({n}, ...)"
+        raise ValueError(f"callable returned shape {vals.shape} for {n} nodes, "
+                         f"expected {expected}")
+    if not np.isfinite(vals).all():
+        node = x[int(np.argmin(np.isfinite(vals).reshape(n, -1).all(axis=1)))]
+        raise EvaluationError(f"callable is not finite at node {np.asarray(node).tolist()}",
+                              node=node)
+    return vals
 
 
 def integrate_gaussian(f, d: int, rule: QuadratureRule | None = None) -> float:
     """Approximate ∫_{R^d} f dgamma by the tensorized Gauss-Hermite rule.
 
-    ``f`` receives points of shape (n, d) and should return shape (n,);
-    scalar-only callables are handled by a fallback loop.
+    ``f`` follows the batch contract of ``eval_batch``: points of shape
+    (n, d) in, shape (n,) out.
     """
     if rule is None:
         rule = default_rule()
     pts, w = tensor_nodes(rule, d)
-    vals = _eval_vectorized(f, pts)
-    if vals.shape != (pts.shape[0],):
-        raise ValueError(f"integrand returned shape {vals.shape}, expected ({pts.shape[0]},)")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        node = pts[np.argmax(bad)]
-        raise EvaluationError(f"integrand is not finite at node {node.tolist()}", node=node)
-    return float(w @ vals) / math.pi ** (d / 2.0)
+    return float(w @ eval_batch(f, pts)) / math.pi ** (d / 2.0)
 
 
 # ----------------------------------------------------------------------------
@@ -209,16 +201,7 @@ def _weight_payload(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _gl15_panel(G, a: float, b: float):
     h = 0.5 * (b - a)
     x = 0.5 * (a + b) + h * _GL15_X
-    vals = np.asarray(G(x), dtype=float)
-    if vals.shape == ():
-        vals = np.full(15, float(vals))
-    if not np.all(np.isfinite(vals)):
-        flat = np.isfinite(vals).reshape(vals.shape[0], -1).all(axis=1)
-        raise EvaluationError(
-            f"integrand is not finite near log-axis point u={x[np.argmin(flat)]:.6g}",
-            node=x[np.argmin(flat)],
-        )
-    return h * np.tensordot(_GL15_W, vals, axes=(0, 0))
+    return h * np.tensordot(_GL15_W, G(x), axes=(0, 0))
 
 
 def _adaptive_interval(G, a: float, b: float, abs_budget: float, max_depth: int):
@@ -259,9 +242,10 @@ def integrate_halfline(g, transform: str = "none", tol: float = 1e-10, *,
 
     The working variable is mapped to the log axis, where the integrator uses
     dyadic bisection of fixed 15-point Gauss-Legendre panels, extending the
-    domain outward until new blocks are negligible.  ``g`` may return a payload
-    array (vectorized over its first axis); the error metric is then the max
-    over payload components.  Subdivision order is deterministic.
+    domain outward until new blocks are negligible.  ``g`` follows the batch
+    contract of ``eval_batch`` and may return a payload of shape (n, ...); the
+    error metric is then the max over payload components.  Subdivision order
+    is deterministic.
 
     Raises ConvergenceError (carrying the best estimate and its error bound)
     if the subdivision or extension budget is exhausted first.
@@ -274,7 +258,7 @@ def integrate_halfline(g, transform: str = "none", tol: float = 1e-10, *,
     if transform == "none":
         def G(u):
             s = np.exp(u)
-            return _payload_times(g, s, s)
+            return _weight_payload(eval_batch(g, s), s)
     elif transform == "log_unit_interval":
         # ∫_0^1 g(r) dr = ∫_0^infty g(e^{-s}) e^{-s} ds, then s = e^u.
         # r is clamped strictly inside (0, 1): near r = 0 the weight s e^{-s}
@@ -286,10 +270,10 @@ def integrate_halfline(g, transform: str = "none", tol: float = 1e-10, *,
         def G(u):
             s = np.exp(u)
             r = np.clip(np.exp(-s), np.finfo(float).tiny, _R_TOP)
-            return _payload_times(g, r, s * np.exp(-s))
+            return _weight_payload(eval_batch(g, r), s * np.exp(-s))
     else:  # inverse_square: ∫_0^infty g(s) ds = ∫_0^infty g(1/v) v^{-2} dv, v = e^u
         def G(u):
-            return _payload_times(g, np.exp(-u), np.exp(-u))
+            return _weight_payload(eval_batch(g, np.exp(-u)), np.exp(-u))
 
     budget = max(abs_tol, tol)
     value, err, exhausted = _adaptive_interval(G, -6.0, 6.0, 0.5 * budget, max_subdivisions)
@@ -328,18 +312,6 @@ def integrate_halfline(g, transform: str = "none", tol: float = 1e-10, *,
             error_bound=err,
         )
     return _maybe_scalar(value)
-
-
-def _payload_times(g, s: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(g(s), dtype=float)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or (vals.shape != () and vals.shape[0] != s.shape[0]):
-        vals = np.asarray([g(float(si)) for si in s], dtype=float)
-    if vals.shape == ():
-        vals = np.full(s.shape, float(vals))
-    return _weight_payload(vals, jac)
 
 
 def _maybe_scalar(value):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -98,7 +99,7 @@ def _emit(obj, out: list, indent: int) -> None:
         out.append("{\n")
         items = list(obj.items())
         for i, (k, v) in enumerate(items):
-            out.append(f'{pad}  "{k}": ')
+            out.append(f"{pad}  {_json_string(k)}: ")
             _emit(v, out, indent + 1)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "}")
@@ -126,8 +127,11 @@ def _emit(obj, out: list, indent: int) -> None:
     elif obj is None:
         out.append("null")
     else:
-        escaped = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'"{escaped}"')
+        out.append(_json_string(obj))
+
+
+def _json_string(obj) -> str:
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
 def report_to_json(r: VerificationReport) -> str:

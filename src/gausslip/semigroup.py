@@ -16,7 +16,8 @@ Representations:
                          y-domain (|y_i| <= 8 + 2 max|x|),
   * ``subordination`` -- s-integral of the OU action against g(t, s).
 
-Pointwise callables take point batches of shape (n, d) and return (n,).
+Pointwise callables follow the batch contract of ``quadrature.eval_batch``:
+point batches of shape (n, d) in, shape (n,) out.
 """
 from __future__ import annotations
 
@@ -27,12 +28,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import HermiteExpansion, as_function, as_points, scale_by_level
+from .hermite import HermiteExpansion, as_function, as_points, point_or_batch, scale_by_level
 from .quadrature import (
     default_rule,
+    eval_batch,
     gauss_legendre_panels,
     graded_breaks,
     integrate_halfline,
+    tensor_grid,
     tensor_nodes,
     uniform_breaks,
 )
@@ -135,6 +138,7 @@ def _stable_weight_factor(t: float, s: np.ndarray, k: int) -> np.ndarray:
       phi''' = (-3/2s + 3t^2/2s^2 - t^4/8s^3) e^{-t^2/4s}
     and d^k g/dt^k = phi^{(k)} s^{-3/2} / (2 sqrt(pi)).
     """
+    _check_kernel_order(k)
     s = np.asarray(s, dtype=float)
     expo = np.exp(-t * t / (4.0 * s) - 1.5 * np.log(s)) / (2.0 * _SQRT_PI)
     if k == 0:
@@ -143,13 +147,16 @@ def _stable_weight_factor(t: float, s: np.ndarray, k: int) -> np.ndarray:
         poly = 1.0 - t * t / (2.0 * s)
     elif k == 2:
         poly = t ** 3 / (4.0 * s * s) - 1.5 * t / s
-    elif k == 3:
-        poly = -1.5 / s + 1.5 * t * t / (s * s) - t ** 4 / (8.0 * s ** 3)
     else:
+        poly = -1.5 / s + 1.5 * t * t / (s * s) - t ** 4 / (8.0 * s ** 3)
+    return poly * expo
+
+
+def _check_kernel_order(k: int) -> None:
+    if k > 3:
         raise NotImplementedError(
             "kernel time derivatives are implemented for k <= 3; use the "
             "spectral representation beyond that")
-    return poly * expo
 
 
 # ----------------------------------------------------------------------------
@@ -170,36 +177,24 @@ def _min_sigma(t: float) -> float:
     return math.sqrt(0.5 * -math.expm1(-2.0 * s_min))
 
 
-def _tensor_panel_grid(breaks_per_axis) -> tuple[np.ndarray, np.ndarray]:
-    nodes_axes, weights_axes = zip(*(gauss_legendre_panels(b) for b in breaks_per_axis))
-    d = len(nodes_axes)
-    grids = np.meshgrid(*nodes_axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.ones(pts.shape[0])
-    wgrids = np.meshgrid(*weights_axes, indexing="ij")
-    for i in range(d):
-        w *= wgrids[i].ravel()
-    return pts, w
-
-
 def _ou_truncated_grid(t: float, pts: np.ndarray, d: int):
     R = _truncation_radius(pts)
-    breaks = uniform_breaks(-R, R, _ou_panel_width(t))
-    return _tensor_panel_grid([breaks] * d)
+    panels = gauss_legendre_panels(uniform_breaks(-R, R, _ou_panel_width(t)))
+    return tensor_grid([panels] * d)
 
 
 def _ph_truncated_grid(t: float, x_pt: np.ndarray, d: int, radius: float | None = None):
     R = radius if radius is not None else _truncation_radius(x_pt)
     inner = max(0.004, 0.5 * _min_sigma(t))
-    breaks = [graded_breaks(-R, R, float(x_pt[axis]), inner) for axis in range(d)]
-    return _tensor_panel_grid(breaks)
+    return tensor_grid([gauss_legendre_panels(graded_breaks(-R, R, float(x_pt[axis]), inner))
+                        for axis in range(d)])
 
 
 # ----------------------------------------------------------------------------
 # Ornstein-Uhlenbeck semigroup
 # ----------------------------------------------------------------------------
 
-def ou_apply(f, q: SemigroupQuery, *, d: int = 1, rule=None):
+def ou_apply(f, q: SemigroupQuery, *, d: int = 1):
     """Apply T_t.  Spectral input must be a HermiteExpansion; the kernel
     method accepts a callable (or an expansion, which is wrapped) and returns
     a callable."""
@@ -219,12 +214,9 @@ def ou_apply(f, q: SemigroupQuery, *, d: int = 1, rule=None):
     def apply_at(x):
         pts = as_points(x, dim).reshape(-1, dim)
         Y, wy = _ou_truncated_grid(t, pts, dim)
-        fv = np.asarray(func(Y), dtype=float)
+        fv = eval_batch(func, Y)
         K = _mehler_from_s(np.asarray(t), pts[:, None, :], Y[None, :, :], dim)
-        out = K @ (wy * fv)
-        if np.asarray(x).ndim == 0 or (dim > 1 and np.asarray(x).ndim == 1):
-            return float(out[0])
-        return out
+        return point_or_batch(x, K @ (wy * fv), dim)
 
     return apply_at
 
@@ -257,10 +249,11 @@ def _point_batches(x, y, d: int):
     return Xb, Yb, batch, single
 
 
-def ph_kernel(t: float, x, y, tol: float = 1e-9, d: int = 1):
-    """Poisson-Hermite kernel p(t, x, y) by adaptive subordination quadrature."""
+def _ph_kernel_values(t: float, x, y, d: int, k: int, tol: float):
+    """d^k/dt^k p(t, x, y) on broadcast point batches (k = 0: the kernel)."""
     if t <= 0:
         raise ValueError("time t must be positive for the kernel representation")
+    _check_kernel_order(k)
     Xb, Yb, batch, single = _point_batches(x, y, d)
 
     # Group by x-point so each s-integral carries the whole y-batch.
@@ -268,36 +261,25 @@ def ph_kernel(t: float, x, y, tol: float = 1e-9, d: int = 1):
     seen: dict = {}
     for i in range(Xb.shape[0]):
         seen.setdefault(tuple(Xb[i]), []).append(i)
-    for _, idx in seen.items():
-        rows = np.asarray(idx)
-        out[rows] = _ph_kernel_payload(t, Xb[rows[0]], Yb[rows], d, 0, tol)
-    if single:
-        return float(out[0])
-    return out.reshape(batch)
-
-
-def ph_kernel_time_derivative(t: float, x, y, k: int, tol: float = 1e-9, d: int = 1):
-    """d^k/dt^k of p(t, x, y) for 1 <= k <= 3 (differentiation under the
-    integral sign; the k-fold factor is hardcoded)."""
-    if t <= 0:
-        raise ValueError("time t must be positive")
-    if k < 1:
-        raise ValueError("derivative order k must be >= 1")
-    if k > 3:
-        raise NotImplementedError(
-            "kernel time derivatives are implemented for k <= 3; use the "
-            "spectral representation beyond that")
-    Xb, Yb, batch, single = _point_batches(x, y, d)
-    out = np.empty(Xb.shape[0])
-    seen: dict = {}
-    for i in range(Xb.shape[0]):
-        seen.setdefault(tuple(Xb[i]), []).append(i)
-    for _, idx in seen.items():
+    for idx in seen.values():
         rows = np.asarray(idx)
         out[rows] = _ph_kernel_payload(t, Xb[rows[0]], Yb[rows], d, k, tol)
     if single:
         return float(out[0])
     return out.reshape(batch)
+
+
+def ph_kernel(t: float, x, y, tol: float = 1e-9, d: int = 1):
+    """Poisson-Hermite kernel p(t, x, y) by adaptive subordination quadrature."""
+    return _ph_kernel_values(t, x, y, d, 0, tol)
+
+
+def ph_kernel_time_derivative(t: float, x, y, k: int, tol: float = 1e-9, d: int = 1):
+    """d^k/dt^k of p(t, x, y) for 1 <= k <= 3 (differentiation under the
+    integral sign; the k-fold factor is hardcoded)."""
+    if k < 1:
+        raise ValueError("derivative order k must be >= 1")
+    return _ph_kernel_values(t, x, y, d, k, tol)
 
 
 # ----------------------------------------------------------------------------
@@ -351,26 +333,21 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, rule=None, tol: float = 1e-8):
                 sig = np.sqrt(-np.expm1(-2.0 * s))
                 z = (r[:, None, None, None] * pts[None, :, None, :]
                      + sig[:, None, None, None] * U[None, None, :, :])
-                fv = np.asarray(f(z.reshape(-1, d)), dtype=float)
+                fv = eval_batch(f, z.reshape(-1, d))
                 fv = fv.reshape(s.shape[0], pts.shape[0], U.shape[0])
                 ts = (fv @ wu) / norm
                 return ts * _stable_weight_factor(t, s, 0)[:, None]
 
             vals = np.atleast_1d(integrate_halfline(
                 integrand, transform="inverse_square", tol=tol))
-            if np.asarray(x).ndim == 0 or (d > 1 and np.asarray(x).ndim == 1):
-                return float(vals[0])
-            return vals
+            return point_or_batch(x, vals, d)
 
         return apply_sub
 
     # kernel method
     func = as_function(f) if isinstance(f, HermiteExpansion) else f
     dim = f.dimension if isinstance(f, HermiteExpansion) else d
-    if k > 3:
-        raise NotImplementedError(
-            "kernel time derivatives are implemented for k <= 3; use the "
-            "spectral representation beyond that")
+    _check_kernel_order(k)
 
     def apply_kernel(x):
         pts = as_points(x, dim).reshape(-1, dim)
@@ -379,11 +356,8 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, rule=None, tol: float = 1e-8):
         for i in range(pts.shape[0]):
             Y, wy = _ph_truncated_grid(t, pts[i], dim, radius=R)
             p_vals = _ph_kernel_payload(t, pts[i], Y, dim, k, tol)
-            fv = np.asarray(func(Y), dtype=float)
-            out[i] = float(np.dot(wy * p_vals, fv))
-        if np.asarray(x).ndim == 0 or (dim > 1 and np.asarray(x).ndim == 1):
-            return float(out[0])
-        return out
+            out[i] = float(np.dot(wy * p_vals, eval_batch(func, Y)))
+        return point_or_batch(x, out, dim)
 
     return apply_kernel
 
@@ -420,8 +394,7 @@ def kernel_derivative_l1(t: float, x: float, k: int, tol: float = 1e-8) -> Kerne
         raise ValueError("kernel_derivative_l1 supports 1 <= k <= 3")
     x_pt = np.asarray([float(x)])
     R = _truncation_radius(x_pt)
-    breaks = graded_breaks(-R, R, float(x), max(0.004, 0.5 * _min_sigma(t)))
-    Y, wy = _tensor_panel_grid([breaks])
+    Y, wy = _ph_truncated_grid(t, x_pt, 1, radius=R)
     vals = _ph_kernel_payload(t, x_pt, Y, 1, k, tol)
     value = float(np.dot(wy, np.abs(vals)))
     tail = derivative_weight_mass(t, k, tol=1e-8) * math.erfc(R - abs(x))

@@ -105,18 +105,19 @@ def suite_eigen(config: SuiteConfig) -> list:
             for nu in indices:
                 n = sum(nu)
                 h_vals = hermite_eval(nu, grid)
+                label = "".join(map(str, nu))
 
-                def ou_row(nu=nu, n=n, t=t, d=d, grid=grid, h_vals=h_vals):
+                def ou_row(nu=nu, n=n, t=t, d=d, grid=grid, h_vals=h_vals, label=label):
                     op = ou_apply(lambda p, nu=nu: hermite_eval(nu, p),
                                   SemigroupQuery(t, "kernel"), d=d)
                     dev = _rel_dev(np.asarray(op(grid)), math.exp(-t * n) * h_vals)
-                    return ReportRow(name=f"ou.kernel.d{d}.nu{''.join(map(str, nu))}.t{t}",
+                    return ReportRow(name=f"ou.kernel.d{d}.nu{label}.t{t}",
                                      inputs=f"d={d} nu={nu} t={t}", computed=dev,
                                      oracle=0.0, tol_rel=0.0, tol_abs=tol)
 
-                _guard(rows, f"ou.kernel.d{d}.nu{nu}.t{t}", f"d={d}", ou_row)
+                _guard(rows, f"ou.kernel.d{d}.nu{label}.t{t}", f"d={d}", ou_row)
 
-                def ph_sub_row(nu=nu, n=n, t=t, d=d, grid=grid, h_vals=h_vals):
+                def ph_sub_row(nu=nu, n=n, t=t, d=d, grid=grid, h_vals=h_vals, label=label):
                     want = math.exp(-math.sqrt(n) * t) * h_vals
                     if d == 1:
                         op = ph_apply(lambda p, nu=nu: hermite_eval(nu, p),
@@ -126,12 +127,12 @@ def suite_eigen(config: SuiteConfig) -> list:
                         e = HermiteExpansion(d, 4, {nu: 1.0})
                         out = ph_apply(e, SemigroupQuery(t, "subordination"), tol=1e-9)
                         got = np.asarray(eval_expansion(out, grid))
-                    return ReportRow(name=f"ph.subordination.d{d}.nu{''.join(map(str, nu))}.t{t}",
+                    return ReportRow(name=f"ph.subordination.d{d}.nu{label}.t{t}",
                                      inputs=f"d={d} nu={nu} t={t}",
                                      computed=_rel_dev(got, want),
                                      oracle=0.0, tol_rel=0.0, tol_abs=tol)
 
-                _guard(rows, f"ph.subordination.d{d}.nu{nu}.t{t}", f"d={d}", ph_sub_row)
+                _guard(rows, f"ph.subordination.d{d}.nu{label}.t{t}", f"d={d}", ph_sub_row)
 
                 if d == 1:
                     def ph_kernel_row(nu=nu, n=n, t=t, grid=grid, h_vals=h_vals):
@@ -144,7 +145,7 @@ def suite_eigen(config: SuiteConfig) -> list:
                                          computed=_rel_dev(got, want),
                                          oracle=0.0, tol_rel=0.0, tol_abs=tol)
 
-                    _guard(rows, f"ph.kernel.d1.nu{nu}.t{t}", "d=1", ph_kernel_row)
+                    _guard(rows, f"ph.kernel.d1.nu{nu[0]}.t{t}", "d=1", ph_kernel_row)
 
     # conservation and limits
     for t in times:
@@ -165,7 +166,7 @@ def suite_eigen(config: SuiteConfig) -> list:
                          computed=val, oracle=1.0 / (math.sqrt(math.pi) * math.sqrt(0.75)),
                          tol_rel=1e-12, tol_abs=0.0)
 
-    _guard(rows, "mehler.value", "", mehler_norm_row)
+    _guard(rows, "mehler.value.exp_t_half", "", mehler_norm_row)
 
     def limit_rows():
         out = []
@@ -372,7 +373,7 @@ def suite_forward_diff(config: SuiteConfig) -> list:
                              tol_rel=0.0, tol_abs=1e-6))
         return out
 
-    _guard(rows, "fdiff.identity_iiib", "", dt_rows)
+    _guard(rows, "fdiff.identity_iiib.poly", "", dt_rows)
 
     def semigroup_cross_rows():
         out = []
@@ -432,7 +433,7 @@ def suite_fractional(config: SuiteConfig) -> list:
             return ReportRow(name=f"c_beta.k{k}.beta{beta}", inputs=f"k={k}, beta={beta}",
                              computed=got, oracle=want, tol_rel=1e-7, tol_abs=0.0)
 
-        _guard(rows, f"c_beta.k{k}", f"beta={beta}", c_row)
+        _guard(rows, f"c_beta.k{k}.beta{beta}", f"beta={beta}", c_row)
 
         def sign_row(k=k, beta=beta):
             got = frac.c_beta_constant(beta, k)
@@ -440,7 +441,7 @@ def suite_fractional(config: SuiteConfig) -> list:
                              computed=-((-1.0) ** k) * got, oracle=0.0,
                              tol_rel=0.0, tol_abs=0.0, check="bound")
 
-        _guard(rows, f"c_beta.sign.k{k}", f"beta={beta}", sign_row)
+        _guard(rows, f"c_beta.sign.k{k}.beta{beta}", f"beta={beta}", sign_row)
 
     for beta in (0.5, 1.0, 1.5):
         for n in (1, 2, 4, 9):
@@ -454,7 +455,7 @@ def suite_fractional(config: SuiteConfig) -> list:
                                      inputs=f"kind={kind}, beta={beta}, n={n}",
                                      computed=got, oracle=want, tol_rel=1e-5, tol_abs=0.0)
 
-                _guard(rows, f"eigen.integral.{kind}.b{beta}.n{n}", "", table_row)
+                _guard(rows, f"eigen.integral.{kind}.beta{beta}.n{n}", "", table_row)
 
                 def spectral_row(kind=kind, beta=beta, n=n):
                     e = HermiteExpansion(1, max(n, 1), {(n,): 1.0})
@@ -467,7 +468,7 @@ def suite_fractional(config: SuiteConfig) -> list:
                                      inputs=f"kind={kind}, beta={beta}, n={n}",
                                      computed=got, oracle=want, tol_rel=1e-13, tol_abs=0.0)
 
-                _guard(rows, f"eigen.spectral.{kind}.b{beta}.n{n}", "", spectral_row)
+                _guard(rows, f"eigen.spectral.{kind}.beta{beta}.n{n}", "", spectral_row)
 
     def mismatch_rows():
         # the two Bessel-potential representations act differently; exhibit it
@@ -571,21 +572,23 @@ def suite_lipschitz(config: SuiteConfig) -> list:
                          computed=worst, oracle=0.10, tol_rel=0.0, tol_abs=0.0,
                          check="bound")
 
-    _guard(rows, "lip.seminorm.cos", "", cos_stability_row)
+    _guard(rows, "lip.seminorm.cos.grid_stability", "", cos_stability_row)
 
     def weight_consistency_row():
         f = catalog_function("cos:1")[1]
         lo = lip.seminorm_estimate(f, 0.5, t_grid, config.x_radius,
-                                   degree_cap=config.degree_cap)
+                                   degree_cap=config.degree_cap,
+                                   grid_points=config.x_count)
         hi = lip.seminorm_estimate(f, 0.9, t_grid, config.x_radius, n=1,
-                                   degree_cap=config.degree_cap)
+                                   degree_cap=config.degree_cap,
+                                   grid_points=config.x_count)
         floor = hi.a_alpha - lo.a_alpha * min(t ** 0.4 for t in t_grid)
         return ReportRow(name="lip.weighting.alpha_relation",
                          inputs="A_0.9 >= A_0.5 * min t^0.4 on shared rows",
                          computed=-floor, oracle=0.0, tol_rel=0.0, tol_abs=1e-12,
                          check="bound")
 
-    _guard(rows, "lip.weighting", "", weight_consistency_row)
+    _guard(rows, "lip.weighting.alpha_relation", "", weight_consistency_row)
 
     for name in config.functions:
         def modulus_row(name=name):
@@ -614,13 +617,14 @@ def suite_lipschitz(config: SuiteConfig) -> list:
                          computed=max(small_t), oracle=rep.max_ratio * 1.0001,
                          tol_rel=0.0, tol_abs=0.0, check="bound")
 
-    _guard(rows, "lip.modulus.ratio", "", modulus_ratio_row)
+    _guard(rows, "lip.modulus.cos.ratio_bounded", "", modulus_ratio_row)
 
     def equivalence_rows():
         out = []
         rep = lip.derivative_equivalence_probe(catalog_function("cos:1")[1], 0.5, 1, 2,
                                                t_grid, x_radius=config.x_radius,
-                                               degree_cap=config.degree_cap)
+                                               degree_cap=config.degree_cap,
+                                               grid_points=config.x_count)
         lo, hi = lip.COMPARABILITY_WINDOW
         out.append(ReportRow(name="lip.equivalence.cos.upper", inputs="A_k/A_l, k=1, l=2",
                              computed=rep.ratio, oracle=hi, tol_rel=0.0, tol_abs=0.0,
@@ -630,7 +634,8 @@ def suite_lipschitz(config: SuiteConfig) -> list:
                              tol_abs=0.0, check="bound"))
         repc = lip.derivative_equivalence_probe(catalog_function("const:1")[1], 0.5, 1, 2,
                                                 t_grid, x_radius=config.x_radius,
-                                                degree_cap=config.degree_cap)
+                                                degree_cap=config.degree_cap,
+                                                grid_points=config.x_count)
         out.append(ReportRow(name="lip.equivalence.const.exact_zero", inputs="both zero",
                              computed=1.0 if repc.exact_zero else 0.0, oracle=1.0,
                              tol_rel=0.0, tol_abs=0.0))
@@ -641,9 +646,11 @@ def suite_lipschitz(config: SuiteConfig) -> list:
     def homogeneity_row():
         f = catalog_function("cos:1")[1]
         one = lip.seminorm_estimate(f, alpha, t_grid, config.x_radius,
-                                    degree_cap=config.degree_cap).a_alpha
+                                    degree_cap=config.degree_cap,
+                                    grid_points=config.x_count).a_alpha
         two = lip.seminorm_estimate(lambda x: 2.0 * f(x), alpha, t_grid,
-                                    config.x_radius, degree_cap=config.degree_cap).a_alpha
+                                    config.x_radius, degree_cap=config.degree_cap,
+                                    grid_points=config.x_count).a_alpha
         return ReportRow(name="lip.homogeneity", inputs="A(2f) = 2 A(f)",
                          computed=two, oracle=2.0 * one, tol_rel=1e-12, tol_abs=0.0)
 
@@ -675,7 +682,7 @@ def suite_lipschitz(config: SuiteConfig) -> list:
                          computed=d1, oracle=(up - dn) / (2 * h), tol_rel=1e-5,
                          tol_abs=0.0)
 
-    _guard(rows, "lip.spectral_derivative", "", derivative_consistency_row)
+    _guard(rows, "lip.spectral_derivative.fd_consistency", "", derivative_consistency_row)
 
     def remark_decay_row():
         e = project(catalog_function("cos:1")[1], 1, config.degree_cap,
@@ -684,7 +691,7 @@ def suite_lipschitz(config: SuiteConfig) -> list:
         sups = {}
         for t in far:
             d1 = ph_apply(e, SemigroupQuery(t, "spectral", 1))
-            sups[t] = lip.sup_norm_estimate(d1, config.x_radius).value
+            sups[t] = lip.sup_norm_estimate(d1, config.x_radius, config.x_count).value
         c_emp = max(t * sups[t] for t in far)
         worst = max(sups[t] - c_emp / t for t in far)
         return ReportRow(name="lip.remark.decay_away_from_zero",
@@ -692,7 +699,7 @@ def suite_lipschitz(config: SuiteConfig) -> list:
                          computed=worst, oracle=0.0, tol_rel=0.0, tol_abs=1e-12,
                          check="bound")
 
-    _guard(rows, "lip.remark", "", remark_decay_row)
+    _guard(rows, "lip.remark.decay_away_from_zero", "", remark_decay_row)
     return rows
 
 
@@ -741,7 +748,8 @@ def suite_boundedness(config: SuiteConfig) -> list:
         for kind, beta in (("riesz_derivative", 0.3), ("bessel_potential", 0.5)):
             spec = frac.FractionalSpec(kind=kind, beta=beta, representation="spectral")
             image = frac.apply_fractional(e, spec)
-            est = lip.seminorm_estimate(image, 0.5, t_grid, config.x_radius, degree_cap=8)
+            est = lip.seminorm_estimate(image, 0.5, t_grid, config.x_radius, degree_cap=8,
+                                        grid_points=config.x_count)
             out.append(ReportRow(name=f"bounded.const_image.{kind}",
                                  inputs=f"f=1, kind={kind}",
                                  computed=est.a_alpha, oracle=0.0, tol_rel=0.0,

@@ -107,6 +107,15 @@ class TestReport:
             tol_rel=1.0, tol_abs=1.0),))
         assert "0.33333333333333331" in report_to_json(r)
 
+    def test_control_characters_in_strings_and_keys_round_trip(self):
+        message = 'line one\nline\ttwo "quoted" \\ \x01'
+        r = make_report("demo", {"key\n": "value\t"},
+                        (failed_row("x", "in\r", message),))
+        doc = json.loads(report_to_json(r))
+        assert doc["rows"][0]["flags"] == ["error:" + message]
+        assert doc["rows"][0]["inputs"] == "in\r"
+        assert doc["config"] == {"key\n": "value\t"}
+
     def test_csv_shape(self):
         text = report_to_csv(_tiny_report())
         lines = text.strip().split("\n")
@@ -148,6 +157,47 @@ class TestRunSuite:
         assert report.summary["failed"] >= len(errors)
         # healthy rows still computed
         assert report.summary["passed"] > 0
+
+    @pytest.mark.parametrize("suite, routes, names", [
+        ("eigen", ("suites.ou_apply", "suites.ph_apply", "suites.mehler_kernel"),
+         ("ou.kernel.d1.nu0.t0.25", "ph.subordination.d2.nu11.t1.0",
+          "ph.kernel.d1.nu3.t0.25", "mehler.value.exp_t_half")),
+        ("forward-diff", ("forward_diff.forward_difference",),
+         ("fdiff.identity_iiib.poly",)),
+        ("fractional", ("fractional.c_beta_constant", "fractional._integral_eigenvalue",
+                        "fractional.apply_fractional"),
+         ("c_beta.k1.beta0.5", "c_beta.sign.k3.beta2.5",
+          "eigen.integral.bessel_potential.beta0.5.n1",
+          "eigen.spectral.riesz_derivative.beta1.5.n9")),
+        ("lipschitz", ("lipschitz.seminorm_estimate", "lipschitz.modulus_probe",
+                       "lipschitz.sup_norm_estimate", "suites.project"),
+         ("lip.seminorm.cos.grid_stability", "lip.weighting.alpha_relation",
+          "lip.modulus.cos.ratio_bounded", "lip.spectral_derivative.fd_consistency",
+          "lip.remark.decay_away_from_zero")),
+    ])
+    def test_failed_row_keeps_the_name_of_the_row_it_guards(self, monkeypatch, suite,
+                                                            routes, names):
+        def broken(*args, **kwargs):
+            raise RuntimeError("route down")
+
+        for route in routes:
+            monkeypatch.setattr("gausslip." + route, broken)
+        failed = {r.name for r in run_suite(suite).rows if not r.passed}
+        assert set(names) <= failed
+
+    def test_x_count_reaches_every_sup_norm(self, monkeypatch):
+        from gausslip import lipschitz
+        real = lipschitz.sup_norm_estimate
+        seen = []
+
+        def spy(f, x_radius=3.0, grid_points=121):
+            seen.append(grid_points)
+            return real(f, x_radius, grid_points)
+
+        monkeypatch.setattr(lipschitz, "sup_norm_estimate", spy)
+        for suite in ("lipschitz", "boundedness"):
+            assert run_suite(suite, SuiteConfig(x_count=61)).summary["failed"] == 0
+        assert seen and set(seen) == {61}
 
     def test_config_echoed(self):
         report = run_suite("forward-diff", SuiteConfig(seed=7))

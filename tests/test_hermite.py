@@ -110,6 +110,11 @@ class TestProjection:
         assert total <= l2 + 1e-10
         assert total == pytest.approx(l2, rel=1e-8)
 
+    def test_wrong_result_shape_names_the_shape(self):
+        # np.cos(p) keeps the coordinate axis: (64, 1) instead of (64,)
+        with pytest.raises(ValueError, match=r"\(64, 1\)"):
+            project(lambda p: np.cos(p), 1, 4)
+
     def test_even_function_has_no_odd_coefficients(self):
         e = project(lambda p: np.exp(-p[:, 0] ** 2), 1, 9)
         for n in (1, 3, 5, 7, 9):

@@ -52,12 +52,13 @@ class TestGaussHermiteRule:
         with pytest.raises(ValueError):
             QuadratureRule(nodes=[0.0, 1.0], weights=[1.0])
 
-    def test_halfline_rule_carries_config(self):
-        from gausslip.quadrature import halfline_rule
-        rule = halfline_rule(rel_tol=1e-8, max_subdivisions=40)
-        assert rule.kind == "adaptive_halfline"
-        assert rule.nodes.size == 0 and rule.weights.size == 0
-        assert rule.rel_tol == 1e-8 and rule.max_subdivisions == 40
+    def test_tensor_cache_tells_rules_with_shared_nodes_apart(self):
+        rule = gauss_hermite_rule(6)
+        doubled = QuadratureRule(nodes=rule.nodes, weights=2.0 * rule.weights)
+        for d in (1, 2):
+            one = lambda p: np.ones(p.shape[0])
+            assert integrate_gaussian(one, d, rule) == pytest.approx(1.0, rel=1e-14)
+            assert integrate_gaussian(one, d, doubled) == pytest.approx(2.0 ** d, rel=1e-14)
 
 
 class TestIntegrateGaussian:
@@ -108,6 +109,23 @@ class TestIntegrateGaussian:
         with pytest.raises(EvaluationError) as err:
             integrate_gaussian(bad, 1, gauss_hermite_rule(8))
         assert err.value.node is not None
+        with pytest.raises(EvaluationError):
+            integrate_gaussian(lambda p: math.inf, 1, gauss_hermite_rule(8))
+
+    def test_batch_error_other_than_type_or_value_propagates(self):
+        calls = []
+
+        def fails_on_batch(p):
+            calls.append(p.shape)
+            raise RuntimeError("device lost")
+
+        with pytest.raises(RuntimeError, match="device lost"):
+            integrate_gaussian(fails_on_batch, 2, gauss_hermite_rule(16))
+        assert calls == [(256, 2)]
+
+    def test_point_by_point_fallback_for_scalar_callables(self):
+        got = integrate_gaussian(lambda p: math.cos(p[0]), 1, gauss_hermite_rule(32))
+        assert got == pytest.approx(math.exp(-0.25), rel=1e-12)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):

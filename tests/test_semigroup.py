@@ -73,6 +73,12 @@ class TestOUApply:
         want = math.exp(-1.0) * hermite_eval((2,), xs)
         assert np.max(np.abs(got - want)) <= 1e-7
 
+    def test_kernel_rejects_callable_of_the_wrong_dimension(self):
+        # a d=1 callable sees (n, 2) points and answers (n, 2)
+        op = ou_apply(lambda p: hermite_eval((1,), p), SemigroupQuery(0.5, "kernel"), d=2)
+        with pytest.raises(ValueError, match=r"returned shape \(\d+, 2\)"):
+            op(np.array([[0.1, 0.2]]))
+
     def test_method_input_mismatch(self):
         with pytest.raises(ValueError):
             ou_apply(lambda p: p[:, 0], SemigroupQuery(0.5, "spectral"))
