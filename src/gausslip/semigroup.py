@@ -16,6 +16,15 @@ Representations:
                          y-domain (|y_i| <= 8 + 2 max|x|),
   * ``subordination`` -- s-integral of the OU action against g(t, s).
 
+The kernel route applies P_t (and its t-derivatives) as one adaptive
+s-integral per call whose payload is the batch of values at the x-points:
+by Fubini the y-quadrature runs inside the s-integrand, so the error control
+acts on d^k/dt^k P_t f(x) itself.  f is evaluated once per call, and at each
+s-node the Mehler kernel, a product of 1-d kernels, is applied to f on the
+tensor y-grid one axis at a time.  T_t uses the same contraction at s = t.
+The pointwise kernels ``ph_kernel`` / ``ph_kernel_time_derivative`` and the
+L^1 routine keep the s-integral inside, since |p| is needed pointwise there.
+
 Pointwise callables follow the batch contract of ``quadrature.eval_batch``:
 point batches of shape (n, d) in, shape (n,) out.
 """
@@ -98,8 +107,14 @@ def _mehler_from_s(s, x, y, d: int):
     s = np.asarray(s, dtype=float)
     r = np.exp(-s)
     one_minus_r2 = -np.expm1(-2.0 * s)
-    q = np.sum((y - r[..., None] * x) ** 2, axis=-1) / one_minus_r2
-    return np.exp(-q - 0.5 * d * np.log(math.pi * one_minus_r2))
+    # in place: the contraction calls this on (S, X, N) arrays
+    q = y - r[..., None] * x
+    q *= q
+    q = q[..., 0] if d == 1 else np.sum(q, axis=-1)
+    q /= one_minus_r2
+    np.negative(q, out=q)
+    q -= 0.5 * d * np.log(math.pi * one_minus_r2)
+    return np.exp(q, out=q)
 
 
 def mehler_kernel(t: float, x, y, d: int = 1):
@@ -177,17 +192,73 @@ def _min_sigma(t: float) -> float:
     return math.sqrt(0.5 * -math.expm1(-2.0 * s_min))
 
 
-def _ou_truncated_grid(t: float, pts: np.ndarray, d: int):
+def _ph_axis_panels(t: float, center: float, R: float):
+    # graded down to half the spike width at the smallest contributing s
+    return gauss_legendre_panels(graded_breaks(-R, R, center, 0.5 * _min_sigma(t)))
+
+
+def _ph_graded_grids(t: float, pts: np.ndarray, func):
+    """Per-point graded y-grids and ``func`` on them, as ``_mehler_contract``
+    takes them.
+
+    Point i gets the tensor grid of its per-axis panels graded toward x_i;
+    the axes are padded to a common length with zero weights.  ``func`` is
+    evaluated once, on all the grids together.
+    """
+    X, d = pts.shape
     R = _truncation_radius(pts)
-    panels = gauss_legendre_panels(uniform_breaks(-R, R, _ou_panel_width(t)))
-    return tensor_grid([panels] * d)
+    panels = [[_ph_axis_panels(t, float(c), R) for c in p] for p in pts]
+    grids = [tensor_grid(p)[0] for p in panels]
+    vals = np.split(eval_batch(func, np.concatenate(grids)),
+                    np.cumsum([len(g) for g in grids])[:-1])
+    sizes = tuple(max(len(p[a][0]) for p in panels) for a in range(d))
+    axes = [(np.zeros((X, n)), np.zeros((X, n))) for n in sizes]
+    F = np.zeros((X,) + sizes)
+    for i, (p, v) in enumerate(zip(panels, vals)):
+        shape = tuple(len(y) for y, _ in p)
+        F[(i,) + tuple(slice(n) for n in shape)] = v.reshape(shape)
+        for (ya, wa), (y, w) in zip(axes, p):
+            ya[i, :len(y)] = y
+            wa[i, :len(w)] = w
+    return axes, F
 
 
-def _ph_truncated_grid(t: float, x_pt: np.ndarray, d: int, radius: float | None = None):
-    R = radius if radius is not None else _truncation_radius(x_pt)
-    inner = max(0.004, 0.5 * _min_sigma(t))
-    return tensor_grid([gauss_legendre_panels(graded_breaks(-R, R, float(x_pt[axis]), inner))
-                        for axis in range(d)])
+# ----------------------------------------------------------------------------
+# Separable Mehler contraction
+# ----------------------------------------------------------------------------
+
+# x-points per block of ``_mehler_contract``: keeps its (S, block, N) factor
+# arrays at a few MB for 15 s-nodes and ~600 nodes per axis
+_X_BLOCK = 64
+
+
+def _mehler_contract(s: np.ndarray, pts: np.ndarray, axes, F: np.ndarray) -> np.ndarray:
+    """Sum over a tensor y-grid of M_s(x, y) w(y) F(x; y), shape (S, X).
+
+    The d-dimensional Mehler kernel is the product of 1-d kernels, so the sum
+    is d successive 1-d contractions of ``F`` (shape (X, N_1, ..., N_d)) with
+    the weighted factors m(s, x_a, y_a) w_a: O(N d) exponentials per s-node
+    and point instead of O(N^d).  ``axes[a]`` holds the nodes and weights of
+    axis a, shape (X, N_a).  A leading axis of length 1 is shared by all X
+    points.
+    """
+    X = pts.shape[0]
+    F = np.broadcast_to(F, (X,) + F.shape[1:])
+    axes = [(np.broadcast_to(y, (X, y.shape[-1])), np.broadcast_to(w, (X, w.shape[-1])))
+            for y, w in axes]
+    out = np.empty((s.size, X))
+    for lo in range(0, X, _X_BLOCK):
+        blk = slice(lo, lo + _X_BLOCK)
+        xb = pts[blk]
+        acc = F[blk].reshape(len(xb), 1, -1)
+        for a, (y, w) in enumerate(axes):
+            m = _mehler_from_s(s[:, None, None], xb[None, :, None, a:a + 1],
+                               y[None, blk, :, None], 1)
+            m *= w[blk]
+            m = m.transpose(1, 0, 2)[:, :, None, :]          # (block, S, 1, N_a)
+            acc = (m @ acc.reshape(acc.shape[:2] + (y.shape[-1], -1)))[:, :, 0, :]
+        out[:, blk] = acc[:, :, 0].T
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -213,10 +284,12 @@ def ou_apply(f, q: SemigroupQuery, *, d: int = 1):
 
     def apply_at(x):
         pts = as_points(x, dim).reshape(-1, dim)
-        Y, wy = _ou_truncated_grid(t, pts, dim)
-        fv = eval_batch(func, Y)
-        K = _mehler_from_s(np.asarray(t), pts[:, None, :], Y[None, :, :], dim)
-        return point_or_batch(x, K @ (wy * fv), dim)
+        R = _truncation_radius(pts)
+        y, w = gauss_legendre_panels(uniform_breaks(-R, R, _ou_panel_width(t)))
+        F = eval_batch(func, tensor_grid([(y, w)] * dim)[0])
+        F = F.reshape((1,) + (y.size,) * dim)
+        vals = _mehler_contract(np.array([t]), pts, [(y[None], w[None])] * dim, F)
+        return point_or_batch(x, vals[0], dim)
 
     return apply_at
 
@@ -329,14 +402,17 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, rule=None, tol: float = 1e-8):
             pts = as_points(x, d).reshape(-1, d)
 
             def integrand(s):
-                r = np.exp(-s)
-                sig = np.sqrt(-np.expm1(-2.0 * s))
+                # eval_batch's per-node retry passes scalar nodes
+                sv = np.atleast_1d(s)
+                r = np.exp(-sv)
+                sig = np.sqrt(-np.expm1(-2.0 * sv))
                 z = (r[:, None, None, None] * pts[None, :, None, :]
                      + sig[:, None, None, None] * U[None, None, :, :])
                 fv = eval_batch(f, z.reshape(-1, d))
-                fv = fv.reshape(s.shape[0], pts.shape[0], U.shape[0])
+                fv = fv.reshape(sv.shape[0], pts.shape[0], U.shape[0])
                 ts = (fv @ wu) / norm
-                return ts * _stable_weight_factor(t, s, 0)[:, None]
+                ts *= _stable_weight_factor(t, sv, 0)[:, None]
+                return ts.reshape(np.shape(s) + (-1,))
 
             vals = np.atleast_1d(integrate_halfline(
                 integrand, transform="inverse_square", tol=tol))
@@ -351,13 +427,18 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, rule=None, tol: float = 1e-8):
 
     def apply_kernel(x):
         pts = as_points(x, dim).reshape(-1, dim)
-        R = _truncation_radius(pts)
-        out = np.empty(pts.shape[0])
-        for i in range(pts.shape[0]):
-            Y, wy = _ph_truncated_grid(t, pts[i], dim, radius=R)
-            p_vals = _ph_kernel_payload(t, pts[i], Y, dim, k, tol)
-            out[i] = float(np.dot(wy * p_vals, eval_batch(func, Y)))
-        return point_or_batch(x, out, dim)
+        if pts.shape[0] == 0:
+            return np.empty(0)
+        axes, F = _ph_graded_grids(t, pts, func)
+
+        # Fubini: the y-quadrature runs inside the s-integrand, so the error
+        # control acts on the values d^k/dt^k P_t f(x) themselves
+        def integrand(s):
+            return (_mehler_contract(s, pts, axes, F)
+                    * _stable_weight_factor(t, s, k)[:, None])
+
+        vals = integrate_halfline(integrand, transform="inverse_square", tol=tol)
+        return point_or_batch(x, np.atleast_1d(vals), dim)
 
     return apply_kernel
 
@@ -394,8 +475,8 @@ def kernel_derivative_l1(t: float, x: float, k: int, tol: float = 1e-8) -> Kerne
         raise ValueError("kernel_derivative_l1 supports 1 <= k <= 3")
     x_pt = np.asarray([float(x)])
     R = _truncation_radius(x_pt)
-    Y, wy = _ph_truncated_grid(t, x_pt, 1, radius=R)
-    vals = _ph_kernel_payload(t, x_pt, Y, 1, k, tol)
+    y, wy = _ph_axis_panels(t, float(x), R)
+    vals = _ph_kernel_payload(t, x_pt, y[:, None], 1, k, tol)
     value = float(np.dot(wy, np.abs(vals)))
     tail = derivative_weight_mass(t, k, tol=1e-8) * math.erfc(R - abs(x))
     return KernelL1(value=value, tail_bound=tail)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gausslip import semigroup
 from gausslip.hermite import HermiteExpansion, eval_expansion, hermite_eval, project
 from gausslip.quadrature import gauss_legendre_panels, integrate_halfline, uniform_breaks
 from gausslip.semigroup import (
@@ -238,6 +239,65 @@ class TestPHApply:
         op = ph_apply(lambda p: np.cos(p[:, 0]), SemigroupQuery(0.6, "kernel", 1),
                       d=1, tol=1e-9)
         assert op(np.array([[0.4]]))[0] == pytest.approx(want, abs=1e-6)
+
+    def test_kernel_small_time(self):
+        xs = np.linspace(-2.5, 2.5, 11)
+        for t in (1e-3, 1e-4):
+            op = ph_apply(lambda p: hermite_eval((3,), p), SemigroupQuery(t, "kernel"),
+                          d=1, tol=1e-9)
+            want = math.exp(-math.sqrt(3.0) * t) * hermite_eval((3,), xs)
+            assert np.max(np.abs(op(xs[:, None]) - want)) <= 1e-6
+
+    def test_kernel_third_derivative_at_small_time(self):
+        n, t = 3, 0.05
+        op = ph_apply(lambda p: hermite_eval((n,), p), SemigroupQuery(t, "kernel", 3),
+                      d=1, tol=1e-9)
+        xs = np.linspace(-2.5, 2.5, 11)
+        want = (-math.sqrt(n)) ** 3 * math.exp(-math.sqrt(n) * t) * hermite_eval((n,), xs)
+        assert np.max(np.abs(op(xs[:, None]) - want)) <= 1e-6
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("nu", [(1, 1), (2, 1)])  # (2, 1) tells the axes apart
+    def test_kernel_two_dims_batch(self, nu, k):
+        n, t = sum(nu), 0.7
+        op = ph_apply(lambda p: hermite_eval(nu, p), SemigroupQuery(t, "kernel", k),
+                      d=2, tol=1e-9)
+        x = np.array([[0.5, -0.25], [-1.0, 0.3], [0.0, 1.2]])
+        want = (-math.sqrt(n)) ** k * math.exp(-math.sqrt(n) * t) * hermite_eval(nu, x)
+        assert np.max(np.abs(op(x) - want)) <= 1e-6
+
+    @pytest.mark.parametrize("apply, q", [
+        (ph_apply, SemigroupQuery(0.4, "kernel", 1)),
+        (ou_apply, SemigroupQuery(0.4, "kernel")),
+    ])
+    def test_kernel_batch_matches_single_points(self, apply, q):
+        op = apply(lambda p: np.cos(p[:, 0]) * np.exp(-0.1 * p[:, 0] ** 2), q, d=1)
+        xs = np.linspace(-2.0, 2.5, 66)  # more than one block of x-points
+        batch = op(xs[:, None])
+        picks = [0, 31, 63, 64, 65]
+        single = np.array([op(xs[i]) for i in picks])
+        assert np.max(np.abs(batch[picks] - single)) <= 1e-9
+        assert op(np.empty((0, 1))).shape == (0,)
+
+    def test_kernel_makes_one_halfline_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("tol"))
+            return integrate_halfline(*args, **kwargs)
+
+        monkeypatch.setattr(semigroup, "integrate_halfline", counted)
+        op = ph_apply(lambda p: hermite_eval((2,), p), SemigroupQuery(0.5, "kernel"),
+                      d=1, tol=1e-9)
+        op(np.linspace(-2.5, 2.5, 11)[:, None])
+        assert calls == [1e-9]
+
+    @pytest.mark.parametrize("method", ["subordination", "kernel"])
+    def test_wrong_shape_callable_names_the_shape(self, method):
+        # a callable answering (n, 1) instead of (n,)
+        op = ph_apply(lambda p: p, SemigroupQuery(0.5, method), d=1, tol=1e-8)
+        with pytest.raises(ValueError, match="shape"):
+            op(np.array([[0.1], [0.4]]))
 
     def test_kernel_derivative_order_cap(self):
         with pytest.raises(NotImplementedError):
