@@ -184,8 +184,7 @@ def _spectral_multiplier(kind: str, beta: float):
     return lambda n: 0.0 if n == 0 else n ** (beta / 2.0)
 
 
-def apply_fractional(f, spec: FractionalSpec, *, d: int = 1,
-                     degree_cap: int | None = None, rule=None):
+def apply_fractional(f, spec: FractionalSpec, *, d: int = 1, degree_cap: int | None = None):
     """Apply the operator described by ``spec``.
 
     Expansions map to expansions (the primary path).  A callable is first
@@ -196,9 +195,7 @@ def apply_fractional(f, spec: FractionalSpec, *, d: int = 1,
     if not isinstance(f, HermiteExpansion):
         if degree_cap is None:
             degree_cap = DEFAULT_DEGREE_CAP.get(d, 12)
-        if rule is None:
-            rule = default_rule()
-        f = project(f, d, degree_cap, rule)
+        f = project(f, d, degree_cap, default_rule())
         wrapped = True
 
     if spec.kind == "riesz_potential" and spec.representation == "integral":

@@ -2,9 +2,10 @@
 
 The seminorm of order alpha weights the grid sup-norm of the n-th time
 derivative of P_t f by t^{n-alpha}, n being the smallest integer above alpha.
-Sup-norms are grid proxies over [-R, R]^d with one local refinement pass
-(``supnorm_is_grid_proxy`` is stamped on every estimate); derivatives are
-taken spectrally, which is exact on the truncated expansion.
+Sup-norms are grid proxies over [-R, R] (the probes take d = 1 input) with one
+local refinement pass (``supnorm_is_grid_proxy`` is stamped on every
+estimate); derivatives are taken spectrally, which is exact on the truncated
+expansion.
 
 Probes are stability checks with declared windows, not proofs.
 """
@@ -74,6 +75,10 @@ def sup_norm_estimate(f, x_radius: float = 3.0, grid_points: int = 121) -> SupNo
     """
     if grid_points < 3:
         raise ValueError("need at least 3 grid points per axis")
+    if isinstance(f, HermiteExpansion) and f.dimension != 1:
+        # every probe takes its sup-norms here, on a 1-d grid
+        raise ValueError(f"the Lipschitz probes take d=1 input, got a d={f.dimension} "
+                         "expansion")
     func = (lambda x: eval_expansion(f, x)) if isinstance(f, HermiteExpansion) else f
     xs = np.linspace(-x_radius, x_radius, grid_points)
     vals = np.abs(np.asarray(func(xs[:, None]), dtype=float))

@@ -21,13 +21,17 @@ from .errors import ConvergenceError, EvaluationError
 
 SQRT_PI = math.sqrt(math.pi)
 
-HALFLINE_TRANSFORMS = ("none", "log_unit_interval", "inverse_square")
+HALFLINE_TRANSFORMS = ("none", "inverse_square")
 
 # 15-point Gauss-Legendre local rule used by every panel integrator here.
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 
 # Hard cap for the log axis; e^{+-_LOG_CAP} stays inside float64 range.
 _LOG_CAP = 700.0
+
+# Half-line integrator: absolute error floor, and bisection depth per panel.
+_HALFLINE_ABS_TOL = 1e-12
+_HALFLINE_MAX_DEPTH = 60
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,7 @@ def _gl15_panel(G, a: float, b: float):
     return h * np.tensordot(_GL15_W, G(x), axes=(0, 0))
 
 
-def _adaptive_interval(G, a: float, b: float, abs_budget: float, max_depth: int):
+def _adaptive_interval(G, a: float, b: float, abs_budget: float):
     """Dyadic bisection with the fixed 15-point rule; deterministic order.
 
     Returns (value, err_estimate, exhausted).
@@ -220,8 +224,8 @@ def _adaptive_interval(G, a: float, b: float, abs_budget: float, max_depth: int)
         right = _gl15_panel(G, mid, hi)
         better = left + right
         delta = float(np.max(np.abs(better - whole)))
-        if delta <= abs_budget * (hi - lo) / (b - a) or depth >= max_depth:
-            if depth >= max_depth and delta > abs_budget * (hi - lo) / (b - a):
+        if delta <= abs_budget * (hi - lo) / (b - a) or depth >= _HALFLINE_MAX_DEPTH:
+            if depth >= _HALFLINE_MAX_DEPTH and delta > abs_budget * (hi - lo) / (b - a):
                 exhausted = True
             total = better if total is None else total + better
             err += delta
@@ -231,14 +235,12 @@ def _adaptive_interval(G, a: float, b: float, abs_budget: float, max_depth: int)
     return total, err, exhausted
 
 
-def integrate_halfline(g, transform: str = "none", tol: float = 1e-10, *,
-                       abs_tol: float = 1e-12, max_subdivisions: int = 60):
+def integrate_halfline(g, transform: str = "none", tol: float = 1e-10):
     """Adaptive integral of ``g`` over (0, oo) with an optional substitution.
 
     transform:
-      * ``"none"``              -- integrate g(s) ds over (0, oo)
-      * ``"log_unit_interval"`` -- integrate g(r) dr over (0, 1) via r = e^{-s}
-      * ``"inverse_square"``    -- integrate g(s) ds over (0, oo) via s -> 1/s
+      * ``"none"``           -- integrate g(s) ds over (0, oo)
+      * ``"inverse_square"`` -- integrate g(s) ds over (0, oo) via s -> 1/s
 
     The working variable is mapped to the log axis, where the integrator uses
     dyadic bisection of fixed 15-point Gauss-Legendre panels, extending the
@@ -259,24 +261,12 @@ def integrate_halfline(g, transform: str = "none", tol: float = 1e-10, *,
         def G(u):
             s = np.exp(u)
             return _weight_payload(eval_batch(g, s), s)
-    elif transform == "log_unit_interval":
-        # ∫_0^1 g(r) dr = ∫_0^infty g(e^{-s}) e^{-s} ds, then s = e^u.
-        # r is clamped strictly inside (0, 1): near r = 0 the weight s e^{-s}
-        # underflows first, and near r = 1 double precision cannot separate
-        # e^{-s} from 1 anyway (integrands singular at r = 1 are resolved to
-        # about 1e-8; work in the s variable directly for better).
-        _R_TOP = np.nextafter(1.0, 0.0)
-
-        def G(u):
-            s = np.exp(u)
-            r = np.clip(np.exp(-s), np.finfo(float).tiny, _R_TOP)
-            return _weight_payload(eval_batch(g, r), s * np.exp(-s))
     else:  # inverse_square: ∫_0^infty g(s) ds = ∫_0^infty g(1/v) v^{-2} dv, v = e^u
         def G(u):
             return _weight_payload(eval_batch(g, np.exp(-u)), np.exp(-u))
 
-    budget = max(abs_tol, tol)
-    value, err, exhausted = _adaptive_interval(G, -6.0, 6.0, 0.5 * budget, max_subdivisions)
+    budget = max(_HALFLINE_ABS_TOL, tol)
+    value, err, exhausted = _adaptive_interval(G, -6.0, 6.0, 0.5 * budget)
 
     # Extend outward in width-4 blocks until two consecutive blocks are quiet.
     for direction in (+1, -1):
@@ -292,19 +282,19 @@ def integrate_halfline(g, transform: str = "none", tol: float = 1e-10, *,
                     error_bound=err,
                 )
             lo, hi = (edge, nxt) if direction > 0 else (nxt, edge)
-            v, e, ex = _adaptive_interval(G, lo, hi, 0.25 * budget, max_subdivisions)
+            v, e, ex = _adaptive_interval(G, lo, hi, 0.25 * budget)
             value = value + v
             err += e
             exhausted = exhausted or ex
             scale = float(np.max(np.abs(value)))
-            if float(np.max(np.abs(v))) <= 0.05 * (abs_tol + tol * (1.0 + scale)):
+            if float(np.max(np.abs(v))) <= 0.05 * (_HALFLINE_ABS_TOL + tol * (1.0 + scale)):
                 quiet += 1
             else:
                 quiet = 0
             edge = nxt
 
     scale = float(np.max(np.abs(value)))
-    bound = abs_tol + tol * (1.0 + scale)
+    bound = _HALFLINE_ABS_TOL + tol * (1.0 + scale)
     if exhausted and err > bound:
         raise ConvergenceError(
             f"subdivision budget exhausted (err~{err:.3g} > {bound:.3g})",

@@ -369,7 +369,7 @@ def _subordination_multiplier(t: float, n: int, tol: float) -> float:
     return float(integrate_halfline(integrand, transform="inverse_square", tol=tol))
 
 
-def ph_apply(f, q: SemigroupQuery, *, d: int = 1, rule=None, tol: float = 1e-8):
+def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
     """Apply d^k/dt^k P_t in the representation selected by ``q``.
 
     spectral      : expansion -> expansion, multiplier (-sqrt(n))^k e^{-sqrt(n) t}
@@ -393,13 +393,13 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, rule=None, tol: float = 1e-8):
                 "method; use the spectral or kernel representation")
         if isinstance(f, HermiteExpansion):
             return scale_by_level(f, lambda n: _subordination_multiplier(t, n, tol))
-        if rule is None:
-            rule = default_rule()
-        U, wu = tensor_nodes(rule, d)
+        U, wu = tensor_nodes(default_rule(), d)
         norm = math.pi ** (d / 2.0)
 
         def apply_sub(x):
             pts = as_points(x, d).reshape(-1, d)
+            if pts.shape[0] == 0:
+                return np.empty(0)
 
             def integrand(s):
                 # eval_batch's per-node retry passes scalar nodes

@@ -292,10 +292,12 @@ def test_criterion_8_determinism_and_exit_code(tmp_path, capsys):
     text1 = out1.read_text().replace(doc1["timestamp"], "T")
     text2 = out2.read_text().replace(doc2["timestamp"], "T")
     identical = text1 == text2
-    ok = identical and code1 == 0 and code2 == 0
+    names = [row["name"] for row in doc1["rows"]]
+    ok = identical and code1 == 0 and code2 == 0 and len(set(names)) == len(names)
     _report(f"[criterion 8] {'PASS' if ok else 'FAIL'}: run_suite(all) twice -> "
             f"byte-identical modulo timestamp: {identical}; exit codes "
             f"({code1}, {code2}); rows {doc1['summary']['total']}, "
             f"failed {doc1['summary']['failed']}")
     assert identical
     assert code1 == 0 and code2 == 0
+    assert len(set(names)) == len(names), "every report row name is unique"

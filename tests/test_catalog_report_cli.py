@@ -161,29 +161,50 @@ class TestRunSuite:
     @pytest.mark.parametrize("suite, routes, names", [
         ("eigen", ("suites.ou_apply", "suites.ph_apply", "suites.mehler_kernel"),
          ("ou.kernel.d1.nu0.t0.25", "ph.subordination.d2.nu11.t1.0",
-          "ph.kernel.d1.nu3.t0.25", "mehler.value.exp_t_half")),
+          "ph.kernel.d1.nu3.t0.25", "mehler.value.exp_t_half", "ph.limit.t_infinity")),
         ("forward-diff", ("forward_diff.forward_difference",),
-         ("fdiff.identity_iiib.poly",)),
+         ("fdiff.identity_iiib.poly", "fdiff.bound.exp")),
         ("fractional", ("fractional.c_beta_constant", "fractional._integral_eigenvalue",
                         "fractional.apply_fractional"),
          ("c_beta.k1.beta0.5", "c_beta.sign.k3.beta2.5",
           "eigen.integral.bessel_potential.beta0.5.n1",
-          "eigen.spectral.riesz_derivative.beta1.5.n9")),
+          "eigen.spectral.riesz_derivative.beta1.5.n9", "riesz.inverse_pair.beta0.5")),
         ("lipschitz", ("lipschitz.seminorm_estimate", "lipschitz.modulus_probe",
                        "lipschitz.sup_norm_estimate", "suites.project"),
          ("lip.seminorm.cos.grid_stability", "lip.weighting.alpha_relation",
           "lip.modulus.cos.ratio_bounded", "lip.spectral_derivative.fd_consistency",
           "lip.remark.decay_away_from_zero")),
+        ("kernel-bound", ("suites.kernel_derivative_l1", "suites.derivative_weight_mass"),
+         ("l1.k1.bound.t0.1", "l1.k1.majorant.t0.5", "l1.k1.true_value.scaling",
+          "l1.k2.majorant.scaling")),
+        ("boundedness", ("lipschitz.operator_boundedness_probe",
+                         "lipschitz.seminorm_estimate"),
+         ("bounded.bessel_potential.beta0.5.alpha0.4.cos:1",
+          "bounded.const_image.riesz_derivative")),
     ])
     def test_failed_row_keeps_the_name_of_the_row_it_guards(self, monkeypatch, suite,
                                                             routes, names):
         def broken(*args, **kwargs):
             raise RuntimeError("route down")
 
+        cheap = suite in ("kernel-bound", "forward-diff", "fractional", "lipschitz")
+        passing = [r.name for r in run_suite(suite).rows] if cheap else None
         for route in routes:
             monkeypatch.setattr("gausslip." + route, broken)
-        failed = {r.name for r in run_suite(suite).rows if not r.passed}
+        rows = run_suite(suite).rows
+        failed = {r.name for r in rows if not r.passed}
         assert set(names) <= failed
+        if cheap:
+            assert [r.name for r in rows] == passing
+
+    def test_warnings_become_row_flags(self):
+        rows = {r.name: r for r in run_suite("forward-diff").rows}
+        flags = rows["fdiff.bound.lowdegree"].flags
+        assert len(flags) == 2
+        assert all(f.startswith("warning:CancellationWarning: ") and "(k=3, s=0.2)" in f
+                   for f in flags)
+        assert rows["fdiff.bound.lowdegree"].passed
+        assert sum(1 for r in rows.values() if r.flagged) == 1
 
     def test_x_count_reaches_every_sup_norm(self, monkeypatch):
         from gausslip import lipschitz
@@ -224,6 +245,18 @@ class TestCLI:
     def test_failing_config_yields_nonzero_exit(self, capsys):
         code = main(["--suite", "lipschitz", "--f", "nope:1", "--quiet"])
         assert code == 1
+
+    def test_bad_catalog_name_fails_rows_instead_of_aborting(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        code = main(["--suite", "boundedness", "--f", "nope:1", "--quiet", "--out", str(out)])
+        assert code == 1
+        rows = json.loads(out.read_text())["rows"]
+        failed = [r for r in rows if not r["pass"]]
+        assert failed and all(r["name"].endswith(".nope:1") for r in failed)
+        assert all(r["flags"][0].startswith("error:CatalogError") for r in failed)
+        # the rows that do not take the bad function still run and pass
+        assert [r["name"] for r in rows if r["pass"]] == [
+            "bounded.const_image.riesz_derivative", "bounded.const_image.bessel_potential"]
 
     def test_per_row_lines_printed(self, capsys):
         main(["--suite", "forward-diff"])

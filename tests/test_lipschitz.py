@@ -5,7 +5,7 @@ import pytest
 
 from gausslip.catalog import catalog_function
 from gausslip.fractional import FractionalSpec
-from gausslip.hermite import eval_expansion, project
+from gausslip.hermite import HermiteExpansion, eval_expansion, project
 from gausslip.lipschitz import (
     COMPARABILITY_WINDOW,
     STABILITY_DRIFT,
@@ -41,6 +41,13 @@ class TestSupNorm:
         est = sup_norm_estimate(f, x_radius=3.0)
         assert est.value == pytest.approx(math.sqrt(2.0) * 3.0, rel=1e-10)
         assert est.boundary
+
+    def test_probes_reject_d2_input_explicitly(self):
+        e = HermiteExpansion(2, 2, {(1, 1): 1.0})
+        for probe in (lambda: sup_norm_estimate(e), lambda: seminorm_estimate(e, 0.5),
+                      lambda: modulus_probe(e, 0.5), lambda: inclusion_probe(e, 0.4, 0.8)):
+            with pytest.raises(ValueError, match="take d=1 input, got a d=2 expansion"):
+                probe()
 
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):

@@ -166,18 +166,6 @@ class TestHalfline:
         assert a == pytest.approx(b, rel=1e-8)
         assert a == pytest.approx(2 * SQRT_PI / t, rel=1e-8)
 
-    def test_log_unit_interval_transform(self):
-        # ∫_0^1 (-log r)^{a-1} dr = Gamma(a)
-        for a in (1.0, 2.0, 3.5):
-            got = integrate_halfline(lambda r, a=a: (-np.log(r)) ** (a - 1.0),
-                                     "log_unit_interval", 1e-10)
-            assert got == pytest.approx(math.gamma(a), rel=1e-9)
-        # an integrand singular at r = 1 is resolved only to the float64
-        # endpoint floor (~1e-8)
-        got = integrate_halfline(lambda r: (-np.log(r)) ** -0.5,
-                                 "log_unit_interval", 1e-10)
-        assert got == pytest.approx(math.gamma(0.5), rel=5e-8)
-
     def test_divergent_integrand_raises_with_estimate(self):
         with pytest.raises(ConvergenceError) as err:
             integrate_halfline(lambda s: 1.0 / (1.0 + s), "none", 1e-8)

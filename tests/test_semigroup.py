@@ -269,6 +269,7 @@ class TestPHApply:
     @pytest.mark.parametrize("apply, q", [
         (ph_apply, SemigroupQuery(0.4, "kernel", 1)),
         (ou_apply, SemigroupQuery(0.4, "kernel")),
+        (ph_apply, SemigroupQuery(0.4, "subordination")),
     ])
     def test_kernel_batch_matches_single_points(self, apply, q):
         op = apply(lambda p: np.cos(p[:, 0]) * np.exp(-0.1 * p[:, 0] ** 2), q, d=1)
