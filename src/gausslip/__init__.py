@@ -47,13 +47,9 @@ from .forward_diff import (
 from .fractional import (
     FractionalSpec,
     apply_fractional,
-    bessel_derivative,
-    bessel_potential,
     c_beta_constant,
     c_beta_closed_form,
     eigenvalue_oracle,
-    riesz_derivative,
-    riesz_potential,
 )
 from .lipschitz import (
     LipschitzEstimate,

@@ -31,7 +31,6 @@ class CatalogEntry:
     name: str
     dimension: int
     bounded: bool
-    oracle_kind: str  # closed_form | spectral | none
 
 
 def catalog_function(name: str):
@@ -45,28 +44,27 @@ def catalog_function(name: str):
             c = float(arg)
         except ValueError:
             raise CatalogError(f"bad constant {arg!r} in {name!r}; grammar: {_GRAMMAR}")
-        entry = CatalogEntry(name=name, dimension=1, bounded=True, oracle_kind="closed_form")
+        entry = CatalogEntry(name=name, dimension=1, bounded=True)
         return entry, lambda x: np.full(np.asarray(x).shape[0], c, dtype=float)
     if head == "cos":
         try:
             a = float(arg)
         except ValueError:
             raise CatalogError(f"bad frequency {arg!r} in {name!r}; grammar: {_GRAMMAR}")
-        entry = CatalogEntry(name=name, dimension=1, bounded=True, oracle_kind="closed_form")
+        entry = CatalogEntry(name=name, dimension=1, bounded=True)
         return entry, lambda x: np.cos(a * np.asarray(x, dtype=float)[..., 0])
     if name == "gauss-bump":
-        entry = CatalogEntry(name=name, dimension=1, bounded=True, oracle_kind="closed_form")
+        entry = CatalogEntry(name=name, dimension=1, bounded=True)
         return entry, lambda x: np.exp(-np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
     if name == "smooth-step":
-        entry = CatalogEntry(name=name, dimension=1, bounded=True, oracle_kind="closed_form")
+        entry = CatalogEntry(name=name, dimension=1, bounded=True)
         return entry, lambda x: 0.5 * (1.0 + _ERF(np.asarray(x, dtype=float)[..., 0]))
     if head == "hermite":
         try:
             nu = check_multi_index(tuple(int(v) for v in arg.split(",")))
         except (ValueError, TypeError):
             raise CatalogError(f"bad multi-index {arg!r} in {name!r}; grammar: {_GRAMMAR}")
-        entry = CatalogEntry(name=name, dimension=len(nu),
-                             bounded=(sum(nu) == 0), oracle_kind="spectral")
+        entry = CatalogEntry(name=name, dimension=len(nu), bounded=(sum(nu) == 0))
         return entry, lambda x: hermite_eval(nu, x)
     if head == "expansion":
         if not arg:
@@ -75,8 +73,7 @@ def catalog_function(name: str):
             e = load_expansion(arg)
         except OSError as exc:
             raise CatalogError(f"cannot read expansion file {arg!r}: {exc}")
-        entry = CatalogEntry(name=name, dimension=e.dimension,
-                             bounded=False, oracle_kind="spectral")
+        entry = CatalogEntry(name=name, dimension=e.dimension, bounded=False)
         return entry, as_function(e)
     raise CatalogError(f"unknown catalog name {name!r}; grammar: {_GRAMMAR}")
 

@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .forward_diff import forward_difference_curve
-from .hermite import DEFAULT_DEGREE_CAP, HermiteExpansion, as_function, project, scale_by_level
-from .quadrature import default_rule, integrate_halfline
+from .hermite import HermiteExpansion, scale_by_level
+from .quadrature import integrate_halfline
 
 KINDS = ("bessel_potential", "riesz_potential", "riesz_derivative", "bessel_derivative")
 REPRESENTATIONS = ("spectral", "integral")
@@ -42,13 +42,12 @@ def smallest_integer_above(beta: float) -> int:
 
 @dataclass(frozen=True)
 class FractionalSpec:
-    """Operator kind, order beta, difference order k, and representation."""
+    """Operator kind, order beta and representation."""
 
     kind: str
     beta: float
-    k: int | None = None
     representation: str = "spectral"
-    tol: float = 1e-9
+    tol = 1e-9  # not a field: the integral eigenvalues' half-line tolerance
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -57,38 +56,35 @@ class FractionalSpec:
             raise ValueError(f"unknown representation {self.representation!r}")
         if self.beta <= 0:
             raise ValueError("order beta must be positive")
-        if self.k is None:
-            object.__setattr__(self, "k", smallest_integer_above(self.beta))
-        if self.kind.endswith("derivative") and not (self.k - 1 <= self.beta < self.k):
-            raise ValueError(
-                f"difference order k={self.k} must be the smallest integer above beta={self.beta}")
+
+    @property
+    def k(self) -> int:
+        """Difference order of the derivative integrands, the smallest integer above beta."""
+        return smallest_integer_above(self.beta)
 
 
-def c_beta_constant(beta: float, k: int | None = None, tol: float = 1e-12) -> float:
+@lru_cache(maxsize=64)
+def c_beta_constant(beta: float, k: int) -> float:
     """c^k_beta = ∫_0^infty u^{-beta-1} (e^{-u} - 1)^k du, 0 < beta < k.
 
     Computed by adaptive quadrature; (e^{-u} - 1)^k is evaluated through
     expm1, which is free of cancellation for small u.  Negative for odd k.
     """
-    if k is None:
-        k = smallest_integer_above(beta)
     if not 0 < beta < k:
         raise ValueError("c^k_beta requires 0 < beta < k")
 
     def integrand(u):
         return np.expm1(-u) ** k * np.exp((-beta - 1.0) * np.log(u))
 
-    return float(integrate_halfline(integrand, transform="none", tol=tol))
+    return float(integrate_halfline(integrand, transform="none", tol=1e-12))
 
 
-def c_beta_closed_form(beta: float, k: int | None = None) -> float:
+def c_beta_closed_form(beta: float, k: int) -> float:
     """Analytic continuation Gamma(-beta) sum_{j=1}^k C(k,j) (-1)^{k-j} j^beta.
 
     Valid for non-integer beta only (the Gamma factor has poles otherwise);
     used as an independent cross-check of the quadrature path.
     """
-    if k is None:
-        k = smallest_integer_above(beta)
     if not 0 < beta < k:
         raise ValueError("c^k_beta requires 0 < beta < k")
     if float(beta).is_integer():
@@ -146,7 +142,7 @@ def _integral_eigenvalue(kind: str, beta: float, k: int, n: int, tol: float) -> 
         return _difference_symbol(a, s, k) * np.exp((-beta - 1.0) * np.log(s))
 
     num = float(integrate_halfline(integrand, transform="none", tol=tol))
-    return num / c_beta_constant(beta, k, tol=min(tol, 1e-12))
+    return num / c_beta_constant(beta, k)
 
 
 def eigenvalue_oracle(kind: str, beta: float, n: int, representation: str) -> float:
@@ -184,57 +180,22 @@ def _spectral_multiplier(kind: str, beta: float):
     return lambda n: 0.0 if n == 0 else n ** (beta / 2.0)
 
 
-def apply_fractional(f, spec: FractionalSpec, *, d: int = 1, degree_cap: int | None = None):
-    """Apply the operator described by ``spec``.
-
-    Expansions map to expansions (the primary path).  A callable is first
-    projected onto a truncated expansion and a callable is returned; this is
-    the probe/demonstration path and inherits truncation error.
-    """
-    wrapped = False
+def apply_fractional(f: HermiteExpansion, spec: FractionalSpec) -> HermiteExpansion:
+    """Apply the operator of ``spec`` to an expansion: one multiplier per chaos level."""
     if not isinstance(f, HermiteExpansion):
-        if degree_cap is None:
-            degree_cap = DEFAULT_DEGREE_CAP.get(d, 12)
-        f = project(f, d, degree_cap, default_rule())
-        wrapped = True
-
+        raise ValueError("apply_fractional requires a HermiteExpansion input")
     if spec.kind == "riesz_potential" and spec.representation == "integral":
-        zero = (0,) * f.dimension
-        if abs(f.coefficients.get(zero, 0.0)) > 1e-12:
+        if abs(f.coefficient((0,) * f.dimension)) > 1e-12:
             raise ValueError(
                 "the integral Riesz potential requires a mean-zero input; "
                 "apply remove_mean first")
 
     if spec.representation == "spectral":
-        out = scale_by_level(f, _spectral_multiplier(spec.kind, spec.beta))
-    else:
-        def multiplier(n):
-            if n == 0:
-                if spec.kind == "riesz_potential":
-                    return 0.0  # mean component verified zero above
-                if spec.kind == "riesz_derivative":
-                    return 0.0
-                return _integral_eigenvalue(spec.kind, spec.beta, spec.k, 0, spec.tol)
-            return _integral_eigenvalue(spec.kind, spec.beta, spec.k, n, spec.tol)
+        return scale_by_level(f, _spectral_multiplier(spec.kind, spec.beta))
 
-        out = scale_by_level(f, multiplier)
-    return as_function(out) if wrapped else out
+    def multiplier(n):
+        if n == 0 and spec.kind.startswith("riesz"):
+            return 0.0  # both annihilate the mean; the potential's was checked above
+        return _integral_eigenvalue(spec.kind, spec.beta, spec.k, n, spec.tol)
 
-
-def _kind_alias(kind: str):
-    """``apply_fractional`` restricted to specs of one operator kind."""
-
-    def apply(f, spec: FractionalSpec, **kw):
-        if spec.kind != kind:
-            raise ValueError(f"spec.kind must be {kind!r}")
-        return apply_fractional(f, spec, **kw)
-
-    apply.__name__ = apply.__qualname__ = kind
-    apply.__doc__ = f"apply_fractional for specs of kind {kind!r}."
-    return apply
-
-
-bessel_potential = _kind_alias("bessel_potential")
-riesz_potential = _kind_alias("riesz_potential")
-riesz_derivative = _kind_alias("riesz_derivative")
-bessel_derivative = _kind_alias("bessel_derivative")
+    return scale_by_level(f, multiplier)

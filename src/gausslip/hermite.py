@@ -2,22 +2,23 @@
 
 Multi-indices are plain tuples of non-negative integers.  ``hermite_eval``
 uses the physicists' three-term recurrence with on-the-fly normalization, so
-values stay well scaled up to degree ~100.  A ``HermiteExpansion`` is an
-immutable truncated coefficient table indexed by multi-indices of total
-degree <= ``degree_cap``.
+values stay well scaled up to degree ~100.  A ``HermiteExpansion`` is one
+read-only coefficient vector over the multi-indices of total degree <=
+``degree_cap`` in graded-lex order: multipliers of the chaos level |nu| act
+on it elementwise, and projection and evaluation contract per-axis Hermite
+tables one axis at a time.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
 
 from .quadrature import QuadratureRule, default_rule, eval_batch, tensor_nodes
-
-DEFAULT_DEGREE_CAP = {1: 40, 2: 20, 3: 12}
 
 
 def check_multi_index(nu) -> tuple[int, ...]:
@@ -92,34 +93,55 @@ def hermite_eval(nu, x):
     return point_or_batch(x, val, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermiteExpansion:
-    """Truncated Fourier-Hermite coefficient table."""
+    """Truncated Fourier-Hermite expansion: one read-only coefficient vector
+    over ``graded_indices(dimension, degree_cap)``, given as that vector or as
+    a ``{multi-index: coefficient}`` mapping."""
 
     dimension: int
     degree_cap: int
-    coefficients: dict
+    vector: np.ndarray
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.degree_cap < 0:
             raise ValueError("degree cap must be >= 0")
-        clean = {}
-        for nu, c in self.coefficients.items():
-            nu = check_multi_index(nu)
-            if len(nu) != self.dimension:
-                raise ValueError(f"multi-index {nu} does not have length d={self.dimension}")
-            if sum(nu) > self.degree_cap:
-                raise ValueError(f"multi-index {nu} exceeds degree cap {self.degree_cap}")
-            clean[nu] = float(c)
-        object.__setattr__(self, "coefficients", clean)
+        rows = _index_table(self.dimension, self.degree_cap)[2]
+        if hasattr(self.vector, "items"):
+            vector = np.zeros(len(rows))
+            for nu, c in self.vector.items():
+                nu = check_multi_index(nu)
+                if len(nu) != self.dimension:
+                    raise ValueError(f"multi-index {nu} does not have length d={self.dimension}")
+                if sum(nu) > self.degree_cap:
+                    raise ValueError(f"multi-index {nu} exceeds degree cap {self.degree_cap}")
+                vector[rows[nu]] = float(c)
+        else:
+            vector = np.array(self.vector, dtype=float)
+            if vector.shape != (len(rows),):
+                raise ValueError(f"expected {len(rows)} coefficients, got shape {vector.shape}")
+        vector.setflags(write=False)
+        object.__setattr__(self, "vector", vector)
+
+    @property
+    def coefficients(self) -> dict:
+        """The nonzero coefficients, ``{multi-index: value}`` in graded-lex order."""
+        rows = _index_table(self.dimension, self.degree_cap)[2]
+        return {nu: c for nu, c in zip(rows, self.vector.tolist()) if c != 0.0}
 
     def coefficient(self, nu) -> float:
-        return self.coefficients.get(check_multi_index(nu), 0.0)
+        row = _index_table(self.dimension, self.degree_cap)[2].get(check_multi_index(nu))
+        return 0.0 if row is None else float(self.vector[row])
 
-    def max_level(self) -> int:
-        return max((sum(nu) for nu in self.coefficients), default=0)
+
+@cache
+def _index_table(d: int, n_max: int) -> tuple:
+    """``graded_indices(d, n_max)`` as an (M, d) array, its levels and its rows."""
+    idx = graded_indices(d, n_max)
+    indices = np.array(idx, dtype=np.intp).reshape(len(idx), d)
+    return indices, indices.sum(axis=1), {nu: row for row, nu in enumerate(idx)}
 
 
 def project(f, d: int, n_max: int, rule: QuadratureRule | None = None) -> HermiteExpansion:
@@ -129,33 +151,38 @@ def project(f, d: int, n_max: int, rule: QuadratureRule | None = None) -> Hermit
     if rule is None:
         rule = default_rule()
     pts, w = tensor_nodes(rule, d)
-    vals = eval_batch(f, pts)
-    norm = math.pi ** (d / 2.0)
-    tables = [hermite_values_1d(n_max, pts[:, axis]) for axis in range(d)]
-    wv = w * vals
-    coeffs = {}
-    for nu in graded_indices(d, n_max):
-        prod_vals = tables[0][nu[0]]
-        for axis in range(1, d):
-            prod_vals = prod_vals * tables[axis][nu[axis]]
-        coeffs[nu] = float(wv @ prod_vals) / norm
-    return HermiteExpansion(dimension=d, degree_cap=n_max, coefficients=coeffs)
+    acc = (w * eval_batch(f, pts)).reshape((rule.nodes.size,) * d)
+    table = hermite_values_1d(n_max, rule.nodes)
+    # each step sums out the leading node axis and appends its degree axis
+    for _ in range(d):
+        acc = np.tensordot(acc, table, axes=([0], [1]))
+    indices = _index_table(d, n_max)[0]
+    return HermiteExpansion(d, n_max, acc[tuple(indices.T)] / math.pi ** (d / 2.0))
+
+
+def eval_expansions(es, x) -> np.ndarray:
+    """Values of expansions that share (d, N), each at its own points ``x`` of
+    shape ``(len(es) or 1, *batch, d)``, as ``(len(es), *batch)``: the stacked
+    coefficients are contracted with the Hermite table of each axis in turn."""
+    d, n_max = es[0].dimension, es[0].degree_cap
+    if any((e.dimension, e.degree_cap) != (d, n_max) for e in es):
+        raise ValueError("the expansions must share dimension and degree cap")
+    pts = as_points(x, d)
+    acc = np.zeros((len(es),) + (n_max + 1,) * d)
+    acc[(slice(None),) + tuple(_index_table(d, n_max)[0].T)] = [e.vector for e in es]
+    subscripts = "t...n,ntb->t...b"
+    for axis in range(d - 1, -1, -1):
+        table = hermite_values_1d(n_max, pts[..., axis]).reshape(n_max + 1, pts.shape[0], -1)
+        table = np.broadcast_to(table, (n_max + 1, len(es), table.shape[2]))
+        acc = np.einsum(subscripts, acc, table)
+        subscripts = "t...nb,ntb->t...b"
+    return acc.reshape((len(es),) + pts.shape[1:-1])
 
 
 def eval_expansion(e: HermiteExpansion, x):
     """Partial-sum value sum_{|nu|<=N} fhat(nu) h_nu(x); linear in coefficients."""
-    pts = as_points(x, e.dimension)
-    n_max = e.max_level()
-    tables = [hermite_values_1d(n_max, pts[..., axis]) for axis in range(e.dimension)]
-    val = np.zeros(pts.shape[:-1])
-    for nu, c in sorted(e.coefficients.items(), key=lambda it: (sum(it[0]), it[0])):
-        if c == 0.0:
-            continue
-        term = tables[0][nu[0]]
-        for axis in range(1, e.dimension):
-            term = term * tables[axis][nu[axis]]
-        val = val + c * term
-    return point_or_batch(x, val, e.dimension)
+    return point_or_batch(x, eval_expansions([e], as_points(x, e.dimension)[None])[0],
+                          e.dimension)
 
 
 def as_function(e: HermiteExpansion):
@@ -167,42 +194,38 @@ def chaos_project(e: HermiteExpansion, n: int) -> HermiteExpansion:
     """Projection J_n: keep exactly the coefficients with |nu| = n."""
     if n < 0 or n > e.degree_cap:
         raise ValueError(f"chaos level {n} outside [0, {e.degree_cap}]")
-    coeffs = {nu: c for nu, c in e.coefficients.items() if sum(nu) == n}
-    return HermiteExpansion(e.dimension, e.degree_cap, coeffs)
+    levels = _index_table(e.dimension, e.degree_cap)[1]
+    return HermiteExpansion(e.dimension, e.degree_cap, np.where(levels == n, e.vector, 0.0))
 
 
 def remove_mean(e: HermiteExpansion) -> HermiteExpansion:
     """Subtract the gamma-mean: zero the constant coefficient, keep the rest."""
-    zero = (0,) * e.dimension
-    coeffs = dict(e.coefficients)
-    coeffs[zero] = 0.0
-    return HermiteExpansion(e.dimension, e.degree_cap, coeffs)
+    vector = e.vector.copy()
+    vector[0] = 0.0  # row 0 is the zero multi-index
+    return HermiteExpansion(e.dimension, e.degree_cap, vector)
 
 
 def scale_by_level(e: HermiteExpansion, multiplier) -> HermiteExpansion:
-    """Apply a spectral multiplier m(|nu|) to every coefficient."""
-    cache = {}
-    coeffs = {}
-    for nu, c in e.coefficients.items():
-        n = sum(nu)
-        if n not in cache:
-            cache[n] = float(multiplier(n))
-        coeffs[nu] = c * cache[n]
-    return HermiteExpansion(e.dimension, e.degree_cap, coeffs)
+    """Apply a spectral multiplier m(|nu|) to every coefficient; m is called
+    once per level that holds a nonzero coefficient, in increasing order."""
+    levels = _index_table(e.dimension, e.degree_cap)[1]
+    factor = np.zeros(e.degree_cap + 1)
+    # a set, not np.unique: np.unique imports numpy.ma on first use
+    for n in sorted(set(levels[e.vector != 0.0].tolist())):
+        factor[n] = multiplier(n)
+    return HermiteExpansion(e.dimension, e.degree_cap, e.vector * factor[levels])
 
 
 # ----------------------------------------------------------------------------
-# Serialization: {d, N, entries: [{nu: [...], c: float}, ...]} in graded-lex
-# order, floats printed with 17 significant digits.
+# Serialization: {d, N, entries: [{nu: [...], c: float}, ...]}, the nonzero
+# coefficients in graded-lex order, floats printed with 17 significant digits.
 # ----------------------------------------------------------------------------
 
 def expansion_to_json(e: HermiteExpansion) -> str:
-    entries = []
-    for nu in sorted(e.coefficients, key=lambda nu: (sum(nu), nu)):
-        entries.append('{"nu": [%s], "c": %s}'
-                       % (", ".join(str(v) for v in nu),
-                          format(e.coefficients[nu], ".17g")))
-    body = ",\n    ".join(entries)
+    keep = e.vector != 0.0
+    rows = np.column_stack([_index_table(e.dimension, e.degree_cap)[0][keep], e.vector[keep]])
+    entry = '{"nu": [%s], "c": %%.17g}' % ", ".join(["%d"] * e.dimension)
+    body = ",\n    ".join([entry] * len(rows)) % tuple(rows.ravel().tolist())
     return ('{\n  "d": %d,\n  "N": %d,\n  "entries": [\n    %s\n  ]\n}\n'
             % (e.dimension, e.degree_cap, body))
 
@@ -210,8 +233,7 @@ def expansion_to_json(e: HermiteExpansion) -> str:
 def expansion_from_json(text: str) -> HermiteExpansion:
     raw = json.loads(text)
     coeffs = {tuple(entry["nu"]): float(entry["c"]) for entry in raw["entries"]}
-    return HermiteExpansion(dimension=int(raw["d"]), degree_cap=int(raw["N"]),
-                            coefficients=coeffs)
+    return HermiteExpansion(int(raw["d"]), int(raw["N"]), coeffs)
 
 
 def save_expansion(e: HermiteExpansion, path) -> None:

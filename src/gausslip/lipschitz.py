@@ -5,7 +5,8 @@ derivative of P_t f by t^{n-alpha}, n being the smallest integer above alpha.
 Sup-norms are grid proxies over [-R, R] (the probes take d = 1 input) with one
 local refinement pass (``supnorm_is_grid_proxy`` is stamped on every
 estimate); derivatives are taken spectrally, which is exact on the truncated
-expansion.
+expansion.  A probe builds each t-row of its t-grid as an expansion and
+evaluates all rows together, one product per grid against one Hermite table.
 
 Probes are stability checks with declared windows, not proofs.
 """
@@ -13,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .fractional import FractionalSpec, apply_fractional, smallest_integer_above
-from .hermite import HermiteExpansion, eval_expansion, project, remove_mean, scale_by_level
-from .quadrature import default_rule
+from .hermite import HermiteExpansion, eval_expansions, project, remove_mean, scale_by_level
+from .quadrature import default_rule, eval_batch
 from .semigroup import SemigroupQuery, ph_apply
 
 DEFAULT_T_GRID = tuple(np.geomspace(0.0125, 4.0, 16))
@@ -61,10 +63,42 @@ def _sorted_t_grid(t_grid) -> tuple:
     return tuple(sorted(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID)))
 
 
-def _as_expansion(f, degree_cap: int = 40, d: int = 1) -> HermiteExpansion:
+def _as_expansion(f, degree_cap: int = 40) -> HermiteExpansion:
     if isinstance(f, HermiteExpansion):
         return f
-    return project(f, d, degree_cap, default_rule())
+    return project(f, 1, degree_cap, default_rule())
+
+
+def check_probe_dimension(d: int, what: str = "expansion") -> None:
+    """Every probe takes its sup-norms on a 1-d grid."""
+    if d != 1:
+        raise ValueError(f"the Lipschitz probes take d=1 input, got a d={d} {what}")
+
+
+def _sup_norms(fs: list, x_radius: float, grid_points: int) -> list:
+    """``sup_norm_estimate`` of each of ``fs``: one callable, or d=1 expansions
+    of one degree cap, which each pass evaluates together with one product."""
+    if grid_points < 3:
+        raise ValueError("need at least 3 grid points per axis")
+    if not fs:
+        return []
+    if isinstance(fs[0], HermiteExpansion):
+        check_probe_dimension(fs[0].dimension)
+        values = partial(eval_expansions, fs)
+    else:
+        values = lambda p: eval_batch(fs[0], p.reshape(-1, 1)).reshape(p.shape[:-1])
+    xs = np.linspace(-x_radius, x_radius, grid_points)
+    vals = np.abs(values(xs[None, :, None]))
+    i = np.argmax(vals, axis=1)
+    h = xs[1] - xs[0]
+    # each function on its own window around its argmax
+    fine = np.linspace(np.maximum(-x_radius, xs[i] - h), np.minimum(x_radius, xs[i] + h),
+                       41, axis=1)
+    fvals = np.abs(values(fine[..., None]))
+    j = np.argmax(fvals, axis=1)
+    return [SupNorm(value=float(max(fvals[r, j[r]], vals[r, i[r]])),
+                    location=float(fine[r, j[r]] if fvals[r, j[r]] >= vals[r, i[r]] else xs[i[r]]),
+                    boundary=bool(i[r] in (0, grid_points - 1))) for r in range(len(fs))]
 
 
 def sup_norm_estimate(f, x_radius: float = 3.0, grid_points: int = 121) -> SupNorm:
@@ -73,36 +107,14 @@ def sup_norm_estimate(f, x_radius: float = 3.0, grid_points: int = 121) -> SupNo
     A lower bound of the true sup-norm; the boundary flag marks an argmax on
     the edge of the box (sup possibly not attained inside).
     """
-    if grid_points < 3:
-        raise ValueError("need at least 3 grid points per axis")
-    if isinstance(f, HermiteExpansion) and f.dimension != 1:
-        # every probe takes its sup-norms here, on a 1-d grid
-        raise ValueError(f"the Lipschitz probes take d=1 input, got a d={f.dimension} "
-                         "expansion")
-    func = (lambda x: eval_expansion(f, x)) if isinstance(f, HermiteExpansion) else f
-    xs = np.linspace(-x_radius, x_radius, grid_points)
-    vals = np.abs(np.asarray(func(xs[:, None]), dtype=float))
-    i = int(np.argmax(vals))
-    boundary = i in (0, grid_points - 1)
-    h = xs[1] - xs[0]
-    lo = max(-x_radius, xs[i] - h)
-    hi = min(x_radius, xs[i] + h)
-    fine = np.linspace(lo, hi, 41)
-    fvals = np.abs(np.asarray(func(fine[:, None]), dtype=float))
-    j = int(np.argmax(fvals))
-    if fvals[j] >= vals[i]:
-        return SupNorm(value=float(fvals[j]), location=float(fine[j]), boundary=boundary)
-    return SupNorm(value=float(vals[i]), location=float(xs[i]), boundary=boundary)
+    return _sup_norms([f], x_radius, grid_points)[0]
 
 
 def _derivative_sup_rows(e: HermiteExpansion, order: int, t_grid, x_radius: float,
                          grid_points: int = 121) -> list:
-    rows = []
-    for t in t_grid:
-        deriv = ph_apply(e, SemigroupQuery(float(t), "spectral", order))
-        sup = sup_norm_estimate(deriv, x_radius, grid_points)
-        rows.append((float(t), sup.value))
-    return rows
+    rows = [ph_apply(e, SemigroupQuery(float(t), "spectral", order)) for t in t_grid]
+    sups = _sup_norms(rows, x_radius, grid_points)
+    return [(float(t), sup.value) for t, sup in zip(t_grid, sups)]
 
 
 def seminorm_estimate(f, alpha: float, t_grid=None, x_radius: float = 3.0, *,
@@ -170,17 +182,15 @@ def modulus_probe(f, alpha: float, n: int | None = None, t_grid=None, *,
     t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
     sup_f = sup_norm_estimate(e, x_radius, grid_points).value
-    rows = []
-    ceiling_ok = True
-    for t in t_grid:
-        diff = scale_by_level(e, lambda m: math.expm1(-math.sqrt(m) * t) ** n)
-        norm = sup_norm_estimate(diff, x_radius, grid_points).value
-        if norm > 2.0 ** n * sup_f + 1e-8:
-            ceiling_ok = False
-        rows.append(ModulusRow(t=t, norm=norm, ratio=norm / t ** alpha))
-    return ModulusReport(alpha=alpha, n=n, rows=tuple(rows),
+    # the multiplier is called within its own iteration, at that t
+    diffs = [scale_by_level(e, lambda m: math.expm1(-math.sqrt(m) * t) ** n) for t in t_grid]
+    norms = [sup.value for sup in _sup_norms(diffs, x_radius, grid_points)]
+    rows = tuple(ModulusRow(t=t, norm=norm, ratio=norm / t ** alpha)
+                 for t, norm in zip(t_grid, norms))
+    return ModulusReport(alpha=alpha, n=n, rows=rows,
                          max_ratio=max(r.ratio for r in rows) if rows else 0.0,
-                         ceiling=2.0 ** n * sup_f, ceiling_ok=ceiling_ok)
+                         ceiling=2.0 ** n * sup_f,
+                         ceiling_ok=all(norm <= 2.0 ** n * sup_f + 1e-8 for norm in norms))
 
 
 @dataclass(frozen=True)

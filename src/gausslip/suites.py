@@ -124,7 +124,7 @@ def _rel_dev(computed: np.ndarray, oracle: np.ndarray) -> float:
 
 
 def _coefficient_gap(a: HermiteExpansion, b: HermiteExpansion) -> float:
-    return max(abs(a.coefficients[nu] - b.coefficients[nu]) for nu in b.coefficients)
+    return float(np.max(np.abs(a.vector - b.vector)))
 
 
 def _spectral(e: HermiteExpansion, kind: str, beta: float) -> HermiteExpansion:
@@ -385,11 +385,11 @@ def _c_beta_sign(beta: float, k: int) -> float:
 def _eigenvalue(kind: str, beta: float, n: int, representation: str) -> dict:
     """One eigenvalue-table entry against ``eigenvalue_oracle``."""
     if representation == "integral":
-        spec = frac.FractionalSpec(kind=kind, beta=beta, representation="integral", tol=1e-9)
+        spec = frac.FractionalSpec(kind=kind, beta=beta, representation="integral")
         got = frac._integral_eigenvalue(kind, beta, spec.k, n, spec.tol)
     else:
         out = _spectral(HermiteExpansion(1, max(n, 1), {(n,): 1.0}), kind, beta)
-        got = out.coefficients[(n,)]
+        got = out.coefficient((n,))
     return {"computed": got, "oracle": frac.eigenvalue_oracle(kind, beta, n, representation)}
 
 
@@ -403,7 +403,7 @@ def _representation_agreement(kind: str) -> float:
     """Worst relative gap, integral vs spectral eigenvalues, beta = 0.5, n = 1..9."""
     worst = 0.0
     for n in range(1, 10):
-        spec = frac.FractionalSpec(kind=kind, beta=0.5, representation="integral", tol=1e-9)
+        spec = frac.FractionalSpec(kind=kind, beta=0.5, representation="integral")
         got = frac._integral_eigenvalue(kind, 0.5, spec.k, n, spec.tol)
         want = frac.eigenvalue_oracle(kind, 0.5, n, "spectral")
         worst = max(worst, abs(got - want) / abs(want))
@@ -459,6 +459,13 @@ def _cos1():
     return catalog_function("cos:1")[1]
 
 
+def _probe_input(name: str):
+    """A catalog function for the probes, which take d=1 input."""
+    entry, f = catalog_function(name)
+    lip.check_probe_dimension(entry.dimension, f"catalog function {name!r}")
+    return entry, f
+
+
 def _a_alpha(config: SuiteConfig, f, alpha: float, t_grid=None, **kw) -> float:
     t_grid = config.t_grid() if t_grid is None else t_grid
     return lip.seminorm_estimate(f, alpha, t_grid, **config.probe_grid(), **kw).a_alpha
@@ -484,7 +491,7 @@ def _alpha_relation(config: SuiteConfig) -> float:
 
 
 def _modulus(config: SuiteConfig, name: str) -> dict:
-    entry, f = catalog_function(name)
+    entry, f = _probe_input(name)
     rep = lip.modulus_probe(f, config.alpha, t_grid=config.t_grid(), **config.probe_grid())
     flags = () if rep.ceiling_ok else ("ceiling 2^n ||f|| violated",)
     flags += () if entry.bounded else (_UNBOUNDED,)
@@ -497,7 +504,7 @@ def _modulus_ratio(config: SuiteConfig) -> dict:
 
 
 def _inclusion(config: SuiteConfig, name: str) -> dict:
-    entry, f = catalog_function(name)
+    entry, f = _probe_input(name)
     rep = lip.inclusion_probe(f, 0.4, 0.8, config.t_grid(), **config.probe_grid())
     return {"computed": rep.a_alpha1, "oracle": rep.bound,
             "flags": () if entry.bounded else (_UNBOUNDED,)}
@@ -576,7 +583,7 @@ def suite_lipschitz(config: SuiteConfig) -> list:
 def _bounded(config: SuiteConfig, kind: str, beta: float, alpha: float,
              representation: str, name: str) -> dict:
     spec = frac.FractionalSpec(kind=kind, beta=beta, representation=representation)
-    rep = lip.operator_boundedness_probe(spec, [(name, catalog_function(name)[1])], alpha,
+    rep = lip.operator_boundedness_probe(spec, [(name, _probe_input(name)[1])], alpha,
                                          config.t_grid(), **config.probe_grid())
     row = rep.rows[0]
     flags = ("one-sided: L1-catalog estimator reused",) if kind == "riesz_potential" else ()
@@ -604,10 +611,12 @@ def suite_boundedness(config: SuiteConfig) -> list:
     const = cache(
         lambda: project(catalog_function("const:1")[1], 1, 8, gauss_hermite_rule(32)))
     return [
-        *(RowSpec(f"bounded.{kind}.beta{beta}.alpha{alpha}.{name}", f"{representation} probe",
-                  partial(_bounded, config, kind, beta, alpha, representation, name),
+        # a non-spectral probe names its representation: the rest may repeat a built-in one
+        *(RowSpec(f"bounded.{kind}{'' if rep == 'spectral' else '.' + rep}"
+                  f".beta{beta}.alpha{alpha}.{name}", f"{rep} probe",
+                  partial(_bounded, config, kind, beta, alpha, rep, name),
                   oracle=lip.STABILITY_DRIFT, check="bound")
-          for kind, beta, alpha, representation in probes for name in config.functions),
+          for kind, beta, alpha, rep in probes for name in config.functions),
         *(RowSpec(f"bounded.const_image.{kind}", f"f=1, kind={kind}",
                   partial(_const_image, config, const, kind, beta), tol_abs=1e-10)
           for kind, beta in (("riesz_derivative", 0.3), ("bessel_potential", 0.5))),

@@ -127,7 +127,7 @@ def test_criterion_3_fractional_eigenvalue_table():
         for n in (1, 2, 4, 9):
             for kind in ("riesz_potential", "riesz_derivative",
                          "bessel_potential", "bessel_derivative"):
-                spec = FractionalSpec(kind, beta, representation="integral", tol=1e-9)
+                spec = FractionalSpec(kind, beta, representation="integral")
                 got = _integral_eigenvalue(kind, beta, spec.k, n, spec.tol)
                 want = eigenvalue_oracle(kind, beta, n, "integral")
                 worst_integral = max(worst_integral, abs(got - want) / abs(want))

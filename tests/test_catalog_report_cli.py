@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,17 +211,35 @@ class TestRunSuite:
 
     def test_x_count_reaches_every_sup_norm(self, monkeypatch):
         from gausslip import lipschitz
-        real = lipschitz.sup_norm_estimate
-        seen = []
+        real, real_batch = lipschitz.sup_norm_estimate, lipschitz._sup_norms
+        seen, seen_batch = [], []
 
         def spy(f, x_radius=3.0, grid_points=121):
             seen.append(grid_points)
             return real(f, x_radius, grid_points)
 
+        def batch_spy(fs, x_radius, grid_points):
+            seen_batch.append(grid_points)
+            return real_batch(fs, x_radius, grid_points)
+
         monkeypatch.setattr(lipschitz, "sup_norm_estimate", spy)
+        monkeypatch.setattr(lipschitz, "_sup_norms", batch_spy)
         for suite in ("lipschitz", "boundedness"):
             assert run_suite(suite, SuiteConfig(x_count=61)).summary["failed"] == 0
         assert seen and set(seen) == {61}
+        assert len(seen_batch) > len(seen) and set(seen_batch) == {61}
+
+    def test_probe_rows_reject_multi_dim_catalog_functions(self):
+        config = SuiteConfig(functions=("hermite:1,1",))
+        rows = run_suite("lipschitz", config).rows + run_suite("boundedness", config).rows
+        probed = [r for r in rows if r.name.endswith(".hermite:1,1")]
+        assert {r.name.split(".")[1] for r in probed} == {
+            "modulus", "inclusion", "bessel_potential", "riesz_derivative",
+            "bessel_derivative", "riesz_potential"}
+        for row in probed:
+            assert not row.passed
+            assert row.flags[0] == ("error:ValueError: the Lipschitz probes take d=1 input, "
+                                    "got a d=2 catalog function 'hermite:1,1'")
 
     def test_config_echoed(self):
         report = run_suite("forward-diff", SuiteConfig(seed=7))
@@ -277,6 +298,34 @@ class TestCLI:
         names = [r.name for r in report.rows]
         assert any("riesz_derivative.beta0.2.alpha0.7" in n for n in names)
         assert report.summary["failed"] == 0
+
+    def test_non_spectral_probe_names_its_representation(self):
+        report = run_suite("boundedness", SuiteConfig(
+            functions=("cos:1",), kind="bessel_potential", beta=0.5, alpha=0.4,
+            representation="integral"))
+        names = [r.name for r in report.rows]
+        assert len(set(names)) == len(names)
+        assert "bounded.bessel_potential.beta0.5.alpha0.4.cos:1" in names
+        assert "bounded.bessel_potential.integral.beta0.5.alpha0.4.cos:1" in names
+        assert report.summary["failed"] == 0
+
+    def test_reports_do_not_depend_on_blas_threads(self):
+        # array products feed these reports, which must not depend on how
+        # BLAS splits the products over threads
+        code = ("import sys\n"
+                "from gausslip.report import report_to_json\n"
+                "from gausslip.suites import run_suite\n"
+                "for suite in ('lipschitz', 'boundedness'):\n"
+                "    r = run_suite(suite)\n"
+                "    sys.stdout.write(report_to_json(r).replace(r.timestamp, 'T'))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=300, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] and outs[0] == outs[1]
 
     def test_invalid_operator_hypothesis_fails_cleanly(self):
         report = run_suite("boundedness", SuiteConfig(

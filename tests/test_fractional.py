@@ -6,13 +6,9 @@ import pytest
 from gausslip.fractional import (
     FractionalSpec,
     apply_fractional,
-    bessel_derivative,
-    bessel_potential,
     c_beta_closed_form,
     c_beta_constant,
     eigenvalue_oracle,
-    riesz_derivative,
-    riesz_potential,
     smallest_integer_above,
 )
 from gausslip.hermite import (
@@ -40,8 +36,6 @@ class TestSpec:
             FractionalSpec("riesz_derivative", 0.5, representation="modal")
         with pytest.raises(ValueError):
             FractionalSpec("riesz_derivative", -0.5)
-        with pytest.raises(ValueError):
-            FractionalSpec("riesz_derivative", 1.5, k=1)
 
 
 class TestCBetaConstant:
@@ -108,90 +102,86 @@ def _pure(n, cap=None):
 
 class TestBesselPotential:
     def test_spectral_eigenvalue(self):
-        out = bessel_potential(_pure(1), FractionalSpec("bessel_potential", 1.0))
+        out = apply_fractional(_pure(1), FractionalSpec("bessel_potential", 1.0))
         assert out.coefficient((1,)) == pytest.approx(2.0 ** -0.5, rel=1e-14)
 
     def test_integral_eigenvalue(self):
         spec = FractionalSpec("bessel_potential", 1.0, representation="integral")
-        out = bessel_potential(_pure(1), spec)
+        out = apply_fractional(_pure(1), spec)
         assert out.coefficient((1,)) == pytest.approx(0.5, rel=1e-6)
 
     def test_constant_is_fixed(self):
         e = HermiteExpansion(1, 1, {(0,): 2.0})
         for rep in ("spectral", "integral"):
-            out = bessel_potential(e, FractionalSpec("bessel_potential", 0.7,
+            out = apply_fractional(e, FractionalSpec("bessel_potential", 0.7,
                                                      representation=rep))
             assert out.coefficient((0,)) == pytest.approx(2.0, rel=1e-8)
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_potential(_pure(1), FractionalSpec("riesz_potential", 1.0))
 
 
 class TestRieszPotential:
     def test_spectral_eigenvalue(self):
-        out = riesz_potential(_pure(4), FractionalSpec("riesz_potential", 2.0))
+        out = apply_fractional(_pure(4), FractionalSpec("riesz_potential", 2.0))
         assert out.coefficient((4,)) == pytest.approx(0.25, rel=1e-14)
 
     def test_kills_constants(self):
         e = HermiteExpansion(1, 1, {(0,): 3.0})
-        out = riesz_potential(e, FractionalSpec("riesz_potential", 1.0))
+        out = apply_fractional(e, FractionalSpec("riesz_potential", 1.0))
         assert out.coefficient((0,)) == 0.0
 
     def test_integral_matches_spectral_on_mean_zero_cosine(self):
         e = remove_mean(project(lambda p: np.cos(p[:, 0]), 1, 40))
         spec_i = FractionalSpec("riesz_potential", 0.5, representation="integral")
         spec_s = FractionalSpec("riesz_potential", 0.5, representation="spectral")
-        got = eval_expansion(riesz_potential(e, spec_i), 0.4)
-        want = eval_expansion(riesz_potential(e, spec_s), 0.4)
+        got = eval_expansion(apply_fractional(e, spec_i), 0.4)
+        want = eval_expansion(apply_fractional(e, spec_s), 0.4)
         assert got == pytest.approx(want, abs=1e-6)
 
     def test_integral_requires_mean_zero(self):
         e = project(lambda p: np.cos(p[:, 0]), 1, 10)
         with pytest.raises(ValueError):
-            riesz_potential(e, FractionalSpec("riesz_potential", 0.5,
-                                              representation="integral"))
+            apply_fractional(e, FractionalSpec("riesz_potential", 0.5,
+                                               representation="integral"))
 
 
 class TestRieszDerivative:
     def test_spectral_eigenvalue(self):
-        out = riesz_derivative(_pure(2), FractionalSpec("riesz_derivative", 0.5))
+        out = apply_fractional(_pure(2), FractionalSpec("riesz_derivative", 0.5))
         assert out.coefficient((2,)) == pytest.approx(2.0 ** 0.25, rel=1e-14)
 
     def test_integral_second_difference_path(self):
         spec = FractionalSpec("riesz_derivative", 1.5, representation="integral")
         assert spec.k == 2
-        out = riesz_derivative(_pure(1), spec)
+        out = apply_fractional(_pure(1), spec)
         assert out.coefficient((1,)) == pytest.approx(1.0, rel=1e-5)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_forward_difference_path_reproduces_eigenvalues(self, n):
         spec = FractionalSpec("riesz_derivative", 1.5, representation="integral")
-        out = riesz_derivative(_pure(n), spec)
+        out = apply_fractional(_pure(n), spec)
         assert out.coefficient((n,)) == pytest.approx(n ** 0.75, rel=1e-5)
 
     def test_annihilates_constants(self):
         e = HermiteExpansion(1, 1, {(0,): 5.0})
         for rep in ("spectral", "integral"):
-            out = riesz_derivative(e, FractionalSpec("riesz_derivative", 0.5,
+            out = apply_fractional(e, FractionalSpec("riesz_derivative", 0.5,
                                                      representation=rep))
             assert out.coefficient((0,)) == 0.0
 
 
 class TestBesselDerivative:
     def test_spectral_eigenvalue(self):
-        out = bessel_derivative(_pure(1), FractionalSpec("bessel_derivative", 1.0))
+        out = apply_fractional(_pure(1), FractionalSpec("bessel_derivative", 1.0))
         assert out.coefficient((1,)) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_integral_eigenvalue(self):
         spec = FractionalSpec("bessel_derivative", 1.0, representation="integral")
-        out = bessel_derivative(_pure(1), spec)
+        out = apply_fractional(_pure(1), spec)
         assert out.coefficient((1,)) == pytest.approx(2.0, rel=1e-5)
 
     def test_constant_maps_to_itself_on_first_order_path(self):
         e = HermiteExpansion(1, 1, {(0,): 1.5})
         spec = FractionalSpec("bessel_derivative", 0.5, representation="integral")
-        out = bessel_derivative(e, spec)
+        out = apply_fractional(e, spec)
         assert out.coefficient((0,)) == pytest.approx(1.5, rel=1e-6)
 
 
@@ -200,8 +190,8 @@ class TestOperatorAlgebra:
         rng = np.random.default_rng(0)
         e = HermiteExpansion(1, 12, {(n,): float(rng.uniform(-1, 1)) for n in range(13)})
         for beta in (0.5, 1.0, 2.0):
-            pot = riesz_potential(e, FractionalSpec("riesz_potential", beta))
-            back = riesz_derivative(pot, FractionalSpec("riesz_derivative", beta))
+            pot = apply_fractional(e, FractionalSpec("riesz_potential", beta))
+            back = apply_fractional(pot, FractionalSpec("riesz_derivative", beta))
             want = remove_mean(e)
             for nu in want.coefficients:
                 assert back.coefficient(nu) == pytest.approx(want.coefficient(nu),
@@ -210,10 +200,10 @@ class TestOperatorAlgebra:
     def test_bessel_potentials_compose(self):
         rng = np.random.default_rng(1)
         e = HermiteExpansion(1, 12, {(n,): float(rng.uniform(-1, 1)) for n in range(13)})
-        one = bessel_potential(
-            bessel_potential(e, FractionalSpec("bessel_potential", 0.7)),
+        one = apply_fractional(
+            apply_fractional(e, FractionalSpec("bessel_potential", 0.7)),
             FractionalSpec("bessel_potential", 0.8))
-        two = bessel_potential(e, FractionalSpec("bessel_potential", 1.5))
+        two = apply_fractional(e, FractionalSpec("bessel_potential", 1.5))
         for nu in two.coefficients:
             assert one.coefficient(nu) == pytest.approx(two.coefficient(nu), abs=1e-14)
 
@@ -237,10 +227,7 @@ class TestOperatorAlgebra:
         assert abs(got - spectral_oracle) > 0.1
 
 
-class TestCallablePath:
-    def test_function_input_round_trips_through_projection(self):
-        spec = FractionalSpec("bessel_potential", 1.0)
-        op = apply_fractional(lambda p: np.cos(p[:, 0]), spec, d=1, degree_cap=40)
-        e = project(lambda p: np.cos(p[:, 0]), 1, 40)
-        want = eval_expansion(bessel_potential(e, spec), 0.3)
-        assert op(np.array([[0.3]]))[0] == pytest.approx(want, rel=1e-10)
+class TestInput:
+    def test_callable_input_rejected(self):
+        with pytest.raises(ValueError, match="requires a HermiteExpansion input"):
+            apply_fractional(lambda p: np.cos(p[:, 0]), FractionalSpec("bessel_potential", 1.0))

@@ -15,8 +15,9 @@ from gausslip.hermite import (
     hermite_eval,
     project,
     remove_mean,
+    scale_by_level,
 )
-from gausslip.quadrature import gauss_hermite_rule, integrate_gaussian
+from gausslip.quadrature import gauss_hermite_rule, integrate_gaussian, tensor_nodes
 
 # physicists' polynomials H_0..H_5, used as an independent oracle
 _PHYS = [
@@ -115,6 +116,19 @@ class TestProjection:
         with pytest.raises(ValueError, match=r"\(64, 1\)"):
             project(lambda p: np.cos(p), 1, 4)
 
+    @pytest.mark.parametrize("d, n_max, m", [(2, 6, 20), (3, 4, 12)])
+    def test_multi_dim_matches_per_index_reference_sum(self, d, n_max, m):
+        # the loop the axis-by-axis contraction replaces, one sum per multi-index
+        def f(p):
+            return np.exp(0.3 * p[:, 0] - 0.2 * p[:, -1]) * np.cos(p[:, 1])
+
+        rule = gauss_hermite_rule(m)
+        pts, w = tensor_nodes(rule, d)
+        e = project(f, d, n_max, rule)
+        for nu in graded_indices(d, n_max):
+            want = float(np.sum(w * f(pts) * hermite_eval(nu, pts))) / math.pi ** (d / 2.0)
+            assert e.coefficient(nu) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
     def test_even_function_has_no_odd_coefficients(self):
         e = project(lambda p: np.exp(-p[:, 0] ** 2), 1, 9)
         for n in (1, 3, 5, 7, 9):
@@ -148,6 +162,16 @@ class TestEvalExpansion:
         back = project(lambda p: eval_expansion(e, p), 1, n_max)
         for n in range(n_max + 1):
             assert back.coefficient((n,)) == pytest.approx(coeffs[n], abs=1e-8)
+
+    @pytest.mark.parametrize("d, n_max", [(2, 5), (3, 4)])
+    def test_multi_dim_matches_per_index_reference_sum(self, d, n_max):
+        rng = np.random.default_rng(d)
+        coeffs = {nu: float(rng.uniform(-1, 1)) for nu in graded_indices(d, n_max)}
+        e = HermiteExpansion(d, n_max, coeffs)
+        xs = rng.uniform(-2.5, 2.5, (9, d))
+        want = sum(c * hermite_eval(nu, xs) for nu, c in coeffs.items())
+        assert eval_expansion(e, xs) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert eval_expansion(e, xs[0]) == pytest.approx(want[0], rel=1e-12, abs=1e-12)
 
     def test_two_dim_round_trip(self):
         rng = np.random.default_rng(0)
@@ -190,6 +214,18 @@ class TestChaosAndMean:
         assert out.coefficient((2,)) == 0.5
         assert remove_mean(out).coefficients == out.coefficients
 
+    def test_multiplier_skips_levels_without_coefficients(self):
+        e = remove_mean(HermiteExpansion(1, 3, {(0,): 3.0, (2,): 0.5}))
+        called = []
+
+        def multiplier(n):
+            called.append(n)
+            return 1.0 / n  # undefined at the zeroed mean level
+
+        out = scale_by_level(e, multiplier)
+        assert called == [2]
+        assert out.coefficients == {(2,): 0.25}
+
     def test_mean_removal_fixes_nonconstant_hermite(self):
         e = project(lambda p: hermite_eval((3,), p), 1, 4)
         out = remove_mean(e)
@@ -222,6 +258,28 @@ class TestSerialization:
             HermiteExpansion(2, 2, {(1,): 1.0})  # wrong length
         with pytest.raises(ValueError):
             HermiteExpansion(0, 2, {})
+
+    def test_immutable(self):
+        e = HermiteExpansion(1, 2, {(1,): 1.0})
+        with pytest.raises(AttributeError):
+            e.degree_cap = 3
+        with pytest.raises(ValueError):
+            e.vector[0] = 1.0
+
+    def test_file_written_by_the_dict_layout_loads(self):
+        # written when expansions were dicts, zero entries included
+        text = ('{\n  "d": 2,\n  "N": 2,\n  "entries": [\n'
+                '    {"nu": [0, 0], "c": 0.33333333333333331},\n'
+                '    {"nu": [0, 1], "c": -0.5},\n'
+                '    {"nu": [1, 0], "c": 0},\n'
+                '    {"nu": [1, 1], "c": 2.4999999999999999e-17},\n'
+                '    {"nu": [2, 0], "c": -1.0000000000000001e+300}\n  ]\n}\n')
+        e = expansion_from_json(text)
+        assert e.coefficients == {(0, 0): 1.0 / 3.0, (0, 1): -0.5, (1, 1): 2.5e-17,
+                                  (2, 0): -1e300}
+        assert e.coefficient((1, 0)) == 0.0 and e.coefficient((0, 2)) == 0.0
+        # the same file, less its zero entry
+        assert expansion_to_json(e) == text.replace('    {"nu": [1, 0], "c": 0},\n', "")
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,

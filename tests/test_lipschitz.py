@@ -5,7 +5,7 @@ import pytest
 
 from gausslip.catalog import catalog_function
 from gausslip.fractional import FractionalSpec
-from gausslip.hermite import HermiteExpansion, eval_expansion, project
+from gausslip.hermite import HermiteExpansion, eval_expansion, project, scale_by_level
 from gausslip.lipschitz import (
     COMPARABILITY_WINDOW,
     STABILITY_DRIFT,
@@ -104,6 +104,32 @@ class TestSeminormEstimate:
         e = HermiteExpansion(1, 40, {(n,): 1.0 / (n + 1.0) for n in range(41)})
         est = seminorm_estimate(e, 0.5, t_grid=(0.3, 0.6, 1.2, 2.4))
         assert "non_convergent" in est.flags
+
+
+class TestBatchedRows:
+    """A probe evaluates all its t-rows together; each row must match the
+    per-t route, one sup_norm_estimate per expansion."""
+
+    @pytest.fixture(params=["cos", "rough"])
+    def expansion(self, request):
+        if request.param == "cos":
+            return project(_cos(), 1, 40)
+        rng = np.random.default_rng(3)
+        return HermiteExpansion(1, 40, {(n,): float(rng.uniform(-1, 1)) * (1.0 + n) ** -0.6
+                                        for n in range(41)})
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_seminorm_rows(self, expansion, alpha):
+        est = seminorm_estimate(expansion, alpha, T_GRID)
+        for row in est.rows:
+            deriv = ph_apply(expansion, SemigroupQuery(row.t, "spectral", est.n))
+            assert row.sup_norm == pytest.approx(sup_norm_estimate(deriv).value, rel=1e-12)
+
+    def test_modulus_rows(self, expansion):
+        rep = modulus_probe(expansion, 1.5, t_grid=T_GRID)
+        for row in rep.rows:
+            diff = scale_by_level(expansion, lambda m: math.expm1(-math.sqrt(m) * row.t) ** 2)
+            assert row.norm == pytest.approx(sup_norm_estimate(diff).value, rel=1e-12)
 
 
 class TestModulusProbe:
