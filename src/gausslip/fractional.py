@@ -11,9 +11,10 @@ citizens:
   the Bessel pair it yields (1 + sqrt(n))^{-+beta} instead, a genuinely
   different operator, and both are reported side by side.
 
-For beta >= 1 the derivative integrands use the k-th power (P_s - I)^k,
-assembled as a k-th forward difference of s -> e^{-a s} at base 0; below
-s = 1e-4 the binomial sum is replaced by the cancellation-free expm1 power.
+The derivative integrands use the k-th power (P_s - I)^k, whose symbol on
+a level with rate a is (e^{-a s} - 1)^k.  It is evaluated as the expm1
+power, free of the cancellation that a binomial sum of exponentials suffers
+at small s.
 """
 from __future__ import annotations
 
@@ -23,15 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forward_diff import forward_difference_curve
 from .hermite import HermiteExpansion, scale_by_level
 from .quadrature import integrate_halfline
 
 KINDS = ("bessel_potential", "riesz_potential", "riesz_derivative", "bessel_derivative")
 REPRESENTATIONS = ("spectral", "integral")
-
-# below this increment the forward-difference symbol switches to expm1 form
-_SMALL_S = 1e-4
 
 
 def smallest_integer_above(beta: float) -> int:
@@ -94,52 +91,30 @@ def c_beta_closed_form(beta: float, k: int) -> float:
     return math.gamma(-beta) * acc
 
 
-def _difference_symbol(a: float, s: np.ndarray, k: int) -> np.ndarray:
-    """(e^{-a s} - 1)^k, i.e. Delta_s^k(e^{-a .}, 0), stable for all s.
-
-    The binomial assembly is used where it is well conditioned; below
-    _SMALL_S it switches to the expm1 power, the resummed small-s series.
-    """
-    s = np.asarray(s, dtype=float)
-    out = np.empty(s.shape)
-    small = s < _SMALL_S
-    if np.any(~small):
-        out[~small] = forward_difference_curve(
-            lambda tau: np.exp(-a * tau), 0.0, s[~small], k)
-    if np.any(small):
-        out[small] = np.expm1(-a * s[small]) ** k
-    return out
-
-
 @lru_cache(maxsize=8192)
 def _integral_eigenvalue(kind: str, beta: float, k: int, n: int, tol: float) -> float:
-    """Numerical action of the integral representation on chaos level n."""
-    root = math.sqrt(n)
-    if kind == "bessel_potential":
-        a = 1.0 + root
+    """Numerical action of the integral representation on chaos level n.
+
+    P_s acts on level n by e^{-a s} with rate a = sqrt(n) for the Riesz
+    kinds and a = 1 + sqrt(n) for the Bessel kinds.
+    """
+    a = 1.0 + math.sqrt(n) if kind.startswith("bessel") else math.sqrt(n)
+    if kind.endswith("potential"):
+        if a == 0.0:
+            raise ValueError("the integral Riesz potential is undefined on the mean "
+                             "component; remove the mean first")
 
         def integrand(s):
             return np.exp((beta - 1.0) * np.log(s) - a * s)
 
         return float(integrate_halfline(integrand, transform="none", tol=tol)) / math.gamma(beta)
 
-    if kind == "riesz_potential":
-        if n == 0:
-            raise ValueError("the integral Riesz potential is undefined on the mean "
-                             "component; remove the mean first")
-
-        def integrand(s):
-            return np.exp((beta - 1.0) * np.log(s) - root * s)
-
-        return float(integrate_halfline(integrand, transform="none", tol=tol)) / math.gamma(beta)
-
-    # derivatives
-    a = root if kind == "riesz_derivative" else 1.0 + root
     if a == 0.0:
         return 0.0
 
     def integrand(s):
-        return _difference_symbol(a, s, k) * np.exp((-beta - 1.0) * np.log(s))
+        # (e^{-a s} - 1)^k, the symbol of (P_s - I)^k, times s^{-beta-1}
+        return np.expm1(-a * s) ** k * np.exp((-beta - 1.0) * np.log(s))
 
     num = float(integrate_halfline(integrand, transform="none", tol=tol))
     return num / c_beta_constant(beta, k)

@@ -29,9 +29,14 @@ _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 # Hard cap for the log axis; e^{+-_LOG_CAP} stays inside float64 range.
 _LOG_CAP = 700.0
 
-# Half-line integrator: absolute error floor, and bisection depth per panel.
+# Half-line integrator: absolute error floor, and the bisections one integral
+# may spend over all its intervals.
 _HALFLINE_ABS_TOL = 1e-12
-_HALFLINE_MAX_DEPTH = 60
+_HALFLINE_MAX_BISECTIONS = 4096
+
+# A panel whose halves change it by no more than this multiple of eps times its
+# magnitude is accepted: the rule has reached float64 rounding there.
+_ROUNDING_FLOOR = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -208,33 +213,6 @@ def _gl15_panel(G, a: float, b: float):
     return h * np.tensordot(_GL15_W, G(x), axes=(0, 0))
 
 
-def _adaptive_interval(G, a: float, b: float, abs_budget: float):
-    """Dyadic bisection with the fixed 15-point rule; deterministic order.
-
-    Returns (value, err_estimate, exhausted).
-    """
-    total = None
-    err = 0.0
-    exhausted = False
-    stack = [(a, b, _gl15_panel(G, a, b), 0)]
-    while stack:
-        lo, hi, whole, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = _gl15_panel(G, lo, mid)
-        right = _gl15_panel(G, mid, hi)
-        better = left + right
-        delta = float(np.max(np.abs(better - whole)))
-        if delta <= abs_budget * (hi - lo) / (b - a) or depth >= _HALFLINE_MAX_DEPTH:
-            if depth >= _HALFLINE_MAX_DEPTH and delta > abs_budget * (hi - lo) / (b - a):
-                exhausted = True
-            total = better if total is None else total + better
-            err += delta
-        else:
-            stack.append((mid, hi, right, depth + 1))
-            stack.append((lo, mid, left, depth + 1))
-    return total, err, exhausted
-
-
 def integrate_halfline(g, transform: str = "none", tol: float = 1e-10):
     """Adaptive integral of ``g`` over (0, oo) with an optional substitution.
 
@@ -246,11 +224,15 @@ def integrate_halfline(g, transform: str = "none", tol: float = 1e-10):
     dyadic bisection of fixed 15-point Gauss-Legendre panels, extending the
     domain outward until new blocks are negligible.  ``g`` follows the batch
     contract of ``eval_batch`` and may return a payload of shape (n, ...); the
-    error metric is then the max over payload components.  Subdivision order
-    is deterministic.
+    error metric is then the max over payload components.  A panel is
+    accepted when its two halves change it by less than its share of the
+    absolute budget, or by no more than float64 rounding of its value.
+    Subdivision order is deterministic.
 
     Raises ConvergenceError (carrying the best estimate and its error bound)
-    if the subdivision or extension budget is exhausted first.
+    at once when the call has spent its 4096 bisections, which the central
+    interval and the outward blocks share, or when the extension reaches the
+    log-axis cap.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -266,7 +248,40 @@ def integrate_halfline(g, transform: str = "none", tol: float = 1e-10):
             return _weight_payload(eval_batch(g, np.exp(-u)), np.exp(-u))
 
     budget = max(_HALFLINE_ABS_TOL, tol)
-    value, err, exhausted = _adaptive_interval(G, -6.0, 6.0, 0.5 * budget)
+    value, err, bisections = 0.0, 0.0, 0
+
+    def adaptive(a: float, b: float, abs_budget: float):
+        """Dyadic bisection of [a, b] with the fixed 15-point rule, in
+        deterministic order, drawing on the call's one bisection budget."""
+        nonlocal bisections
+        total = None
+        part_err = 0.0
+        stack = [(a, b, _gl15_panel(G, a, b))]
+        while stack:
+            lo, hi, whole = stack.pop()
+            mid = 0.5 * (lo + hi)
+            left = _gl15_panel(G, lo, mid)
+            right = _gl15_panel(G, mid, hi)
+            better = left + right
+            delta = float(np.max(np.abs(better - whole)))
+            if (delta <= abs_budget * (hi - lo) / (b - a)
+                    or delta <= _ROUNDING_FLOOR * float(np.max(np.abs(better)))):
+                total = better if total is None else total + better
+                part_err += delta
+            elif bisections == _HALFLINE_MAX_BISECTIONS:
+                done = better if total is None else total + better
+                raise ConvergenceError(
+                    f"half-line bisection budget ({_HALFLINE_MAX_BISECTIONS}) exhausted",
+                    estimate=_maybe_scalar(value + sum((p[2] for p in stack), done)),
+                    error_bound=err + part_err + delta,
+                )
+            else:
+                bisections += 1
+                stack.append((mid, hi, right))
+                stack.append((lo, mid, left))
+        return total, part_err
+
+    value, err = adaptive(-6.0, 6.0, 0.5 * budget)
 
     # Extend outward in width-4 blocks until two consecutive blocks are quiet.
     for direction in (+1, -1):
@@ -282,10 +297,9 @@ def integrate_halfline(g, transform: str = "none", tol: float = 1e-10):
                     error_bound=err,
                 )
             lo, hi = (edge, nxt) if direction > 0 else (nxt, edge)
-            v, e, ex = _adaptive_interval(G, lo, hi, 0.25 * budget)
+            v, e = adaptive(lo, hi, 0.25 * budget)
             value = value + v
             err += e
-            exhausted = exhausted or ex
             scale = float(np.max(np.abs(value)))
             if float(np.max(np.abs(v))) <= 0.05 * (_HALFLINE_ABS_TOL + tol * (1.0 + scale)):
                 quiet += 1
@@ -293,14 +307,6 @@ def integrate_halfline(g, transform: str = "none", tol: float = 1e-10):
                 quiet = 0
             edge = nxt
 
-    scale = float(np.max(np.abs(value)))
-    bound = _HALFLINE_ABS_TOL + tol * (1.0 + scale)
-    if exhausted and err > bound:
-        raise ConvergenceError(
-            f"subdivision budget exhausted (err~{err:.3g} > {bound:.3g})",
-            estimate=_maybe_scalar(value),
-            error_bound=err,
-        )
     return _maybe_scalar(value)
 
 

@@ -12,18 +12,28 @@ to order 3.
 
 Representations:
   * ``spectral``      -- exact multiplier action on a HermiteExpansion,
-  * ``kernel``        -- quadrature of the explicit kernel over a truncated
-                         y-domain (|y_i| <= 8 + 2 max|x|),
-  * ``subordination`` -- s-integral of the OU action against g(t, s).
+  * ``kernel``        -- for P_t, quadrature of the explicit kernel over a
+                         truncated y-domain (|y_i| <= 8 + 2 max|x|); for T_t,
+                         Mehler's formula (below),
+  * ``subordination`` -- s-integral of T_s against g(t, s), T_s by Mehler's
+                         formula.
+
+Mehler's formula writes T_s as a Gaussian average,
+
+    T_s f(x) = ∫ f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y),
+
+which the 64-node Gauss-Hermite tensor rule evaluates with no truncation and
+exactly for polynomials of degree < 128 in each variable.  ``ou_apply`` and
+``ph_apply`` build the rule once, when they make the operator.
 
 The kernel route applies P_t (and its t-derivatives) as one adaptive
 s-integral per call whose payload is the batch of values at the x-points:
 by Fubini the y-quadrature runs inside the s-integrand, so the error control
 acts on d^k/dt^k P_t f(x) itself.  f is evaluated once per call, and at each
 s-node the Mehler kernel, a product of 1-d kernels, is applied to f on the
-tensor y-grid one axis at a time.  T_t uses the same contraction at s = t.
-The pointwise kernels ``ph_kernel`` / ``ph_kernel_time_derivative`` and the
-L^1 routine keep the s-integral inside, since |p| is needed pointwise there.
+tensor y-grid one axis at a time.  The pointwise kernels ``ph_kernel`` /
+``ph_kernel_time_derivative`` and the L^1 routine keep the s-integral inside,
+since |p| is needed pointwise there.
 
 Pointwise callables follow the batch contract of ``quadrature.eval_batch``:
 point batches of shape (n, d) in, shape (n,) out.
@@ -46,7 +56,6 @@ from .quadrature import (
     integrate_halfline,
     tensor_grid,
     tensor_nodes,
-    uniform_breaks,
 )
 
 METHODS = ("spectral", "kernel", "subordination")
@@ -175,16 +184,33 @@ def _check_kernel_order(k: int) -> None:
 
 
 # ----------------------------------------------------------------------------
+# T_s by Mehler's formula
+# ----------------------------------------------------------------------------
+
+def _mehler_gauss_hermite(f, s: np.ndarray, pts: np.ndarray, nodes) -> np.ndarray:
+    """T_s f at the points for each s, shape (S, X), by Mehler's formula
+
+        T_s f(x) = ∫ f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y)
+
+    on the tensor Gauss-Hermite rule ``nodes`` (points (m^d, d), weights).
+    ``f`` is evaluated once, on all S * X * m^d points.
+    """
+    U, wu = nodes
+    X, d = pts.shape
+    r = np.exp(-s)
+    sig = np.sqrt(-np.expm1(-2.0 * s))
+    z = (r[:, None, None, None] * pts[None, :, None, :]
+         + sig[:, None, None, None] * U[None, None, :, :])
+    fv = eval_batch(f, z.reshape(-1, d)).reshape(s.shape[0], X, U.shape[0])
+    return (fv @ wu) / math.pi ** (d / 2.0)
+
+
+# ----------------------------------------------------------------------------
 # Truncated y-grids
 # ----------------------------------------------------------------------------
 
 def _truncation_radius(pts: np.ndarray) -> float:
-    return 8.0 + 2.0 * float(np.max(np.abs(pts))) if pts.size else 8.0
-
-
-def _ou_panel_width(t: float) -> float:
-    sigma = math.sqrt(0.5 * -math.expm1(-2.0 * t))
-    return max(0.35, min(1.0, 2.2 * sigma))
+    return 8.0 + 2.0 * float(np.max(np.abs(pts)))
 
 
 def _min_sigma(t: float) -> float:
@@ -239,13 +265,9 @@ def _mehler_contract(s: np.ndarray, pts: np.ndarray, axes, F: np.ndarray) -> np.
     is d successive 1-d contractions of ``F`` (shape (X, N_1, ..., N_d)) with
     the weighted factors m(s, x_a, y_a) w_a: O(N d) exponentials per s-node
     and point instead of O(N^d).  ``axes[a]`` holds the nodes and weights of
-    axis a, shape (X, N_a).  A leading axis of length 1 is shared by all X
-    points.
+    axis a, shape (X, N_a).
     """
     X = pts.shape[0]
-    F = np.broadcast_to(F, (X,) + F.shape[1:])
-    axes = [(np.broadcast_to(y, (X, y.shape[-1])), np.broadcast_to(w, (X, w.shape[-1])))
-            for y, w in axes]
     out = np.empty((s.size, X))
     for lo in range(0, X, _X_BLOCK):
         blk = slice(lo, lo + _X_BLOCK)
@@ -268,7 +290,7 @@ def _mehler_contract(s: np.ndarray, pts: np.ndarray, axes, F: np.ndarray) -> np.
 def ou_apply(f, q: SemigroupQuery, *, d: int = 1):
     """Apply T_t.  Spectral input must be a HermiteExpansion; the kernel
     method accepts a callable (or an expansion, which is wrapped) and returns
-    a callable."""
+    a callable that evaluates T_t f by Mehler's formula."""
     if q.derivative_order != 0:
         raise ValueError("ou_apply supports derivative_order = 0 only")
     if q.method == "spectral":
@@ -280,16 +302,14 @@ def ou_apply(f, q: SemigroupQuery, *, d: int = 1):
         raise ValueError("ou_apply supports the spectral and kernel methods")
     func = as_function(f) if isinstance(f, HermiteExpansion) else f
     dim = f.dimension if isinstance(f, HermiteExpansion) else d
-    t = q.t
+    s = np.array([q.t])
+    nodes = tensor_nodes(default_rule(), dim)
 
     def apply_at(x):
         pts = as_points(x, dim).reshape(-1, dim)
-        R = _truncation_radius(pts)
-        y, w = gauss_legendre_panels(uniform_breaks(-R, R, _ou_panel_width(t)))
-        F = eval_batch(func, tensor_grid([(y, w)] * dim)[0])
-        F = F.reshape((1,) + (y.size,) * dim)
-        vals = _mehler_contract(np.array([t]), pts, [(y[None], w[None])] * dim, F)
-        return point_or_batch(x, vals[0], dim)
+        if pts.shape[0] == 0:
+            return np.empty(0)
+        return point_or_batch(x, _mehler_gauss_hermite(func, s, pts, nodes)[0], dim)
 
     return apply_at
 
@@ -393,8 +413,7 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
                 "method; use the spectral or kernel representation")
         if isinstance(f, HermiteExpansion):
             return scale_by_level(f, lambda n: _subordination_multiplier(t, n, tol))
-        U, wu = tensor_nodes(default_rule(), d)
-        norm = math.pi ** (d / 2.0)
+        nodes = tensor_nodes(default_rule(), d)
 
         def apply_sub(x):
             pts = as_points(x, d).reshape(-1, d)
@@ -404,13 +423,7 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
             def integrand(s):
                 # eval_batch's per-node retry passes scalar nodes
                 sv = np.atleast_1d(s)
-                r = np.exp(-sv)
-                sig = np.sqrt(-np.expm1(-2.0 * sv))
-                z = (r[:, None, None, None] * pts[None, :, None, :]
-                     + sig[:, None, None, None] * U[None, None, :, :])
-                fv = eval_batch(f, z.reshape(-1, d))
-                fv = fv.reshape(sv.shape[0], pts.shape[0], U.shape[0])
-                ts = (fv @ wu) / norm
+                ts = _mehler_gauss_hermite(f, sv, pts, nodes)
                 ts *= _stable_weight_factor(t, sv, 0)[:, None]
                 return ts.reshape(np.shape(s) + (-1,))
 

@@ -420,7 +420,7 @@ def suite_fractional(config: SuiteConfig) -> list:
     specs += [RowSpec(f"eigen.{rep}.{kind}.beta{beta}.n{n}",
                       f"kind={kind}, beta={beta}, n={n}",
                       partial(_eigenvalue, kind, beta, n, rep), tol_rel=tol_rel)
-              for beta in (0.5, 1.0, 1.5) for n in (1, 2, 4, 9) for kind in frac.KINDS
+              for beta in (0.5, 1.0, 1.5, 2.5) for n in (1, 2, 4, 9) for kind in frac.KINDS
               for rep, tol_rel in (("integral", 1e-5), ("spectral", 1e-13))]
 
     # the two Bessel-potential representations act differently; exhibit it

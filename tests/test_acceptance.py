@@ -123,7 +123,7 @@ def test_criterion_2_kernel_derivative_scaling():
 def test_criterion_3_fractional_eigenvalue_table():
     worst_integral = 0.0
     worst_spectral = 0.0
-    for beta in (0.5, 1.0, 1.5):
+    for beta in (0.5, 1.0, 1.5, 2.5):
         for n in (1, 2, 4, 9):
             for kind in ("riesz_potential", "riesz_derivative",
                          "bessel_potential", "bessel_derivative"):

@@ -166,6 +166,12 @@ class TestHalfline:
         assert a == pytest.approx(b, rel=1e-8)
         assert a == pytest.approx(2 * SQRT_PI / t, rel=1e-8)
 
+    def test_large_integrals_stop_at_float_rounding(self):
+        # for c >= 1e6 the absolute tolerance is below the rounding of c
+        for c in 10.0 ** np.arange(13):
+            got = integrate_halfline(lambda s: c * np.exp(-s), "none", 1e-10)
+            assert abs(got - c) <= 1e-14 * c
+
     def test_divergent_integrand_raises_with_estimate(self):
         with pytest.raises(ConvergenceError) as err:
             integrate_halfline(lambda s: 1.0 / (1.0 + s), "none", 1e-8)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gausslip import semigroup
+from gausslip import quadrature, semigroup
+from gausslip.errors import ConvergenceError
 from gausslip.hermite import HermiteExpansion, eval_expansion, hermite_eval, project
 from gausslip.quadrature import gauss_legendre_panels, integrate_halfline, uniform_breaks
 from gausslip.semigroup import (
@@ -73,6 +74,14 @@ class TestOUApply:
         got = op(xs[:, None])
         want = math.exp(-1.0) * hermite_eval((2,), xs)
         assert np.max(np.abs(got - want)) <= 1e-7
+
+    @pytest.mark.parametrize("nu, t", [((3,), 1e-3), ((3,), 1e-4), ((1, 1), 1e-3)])
+    def test_kernel_small_time(self, nu, t):
+        d = len(nu)
+        x = np.linspace(-2.5, 2.5, 11)[:, None] * np.linspace(1.0, 0.6, d)
+        op = ou_apply(lambda p: hermite_eval(nu, p), SemigroupQuery(t, "kernel"), d=d)
+        want = math.exp(-sum(nu) * t) * hermite_eval(nu, x)
+        assert np.max(np.abs(op(x) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_kernel_rejects_callable_of_the_wrong_dimension(self):
         # a d=1 callable sees (n, 2) points and answers (n, 2)
@@ -392,6 +401,25 @@ class TestKernelDerivativeL1:
     def test_third_order_smoke(self):
         res = kernel_derivative_l1(1.0, 0.5, 3)
         assert res.value > 0.0
+
+    def test_weight_mass_stops_within_the_bisection_budget(self, monkeypatch):
+        # at t = 1e-3 the k = 3 mass is ~6e9 and its integrand cancels near
+        # its zeros, so the absolute tolerance 1e-10 is out of reach
+        nodes = []
+        weight = semigroup._stable_weight_factor
+
+        def counted(t, s, k):
+            nodes.append(np.size(s))
+            return weight(t, s, k)
+
+        monkeypatch.setattr(semigroup, "_stable_weight_factor", counted)
+        with pytest.raises(ConvergenceError) as err:
+            derivative_weight_mass(1e-3, 3)
+        assert err.value.estimate > 0.0
+        # a bisection queues two panels and each panel evaluates its two
+        # 15-point halves; an interval (the central one or one of at most 350
+        # outward blocks) adds its first panel and its halves
+        assert sum(nodes) <= 60 * quadrature._HALFLINE_MAX_BISECTIONS + 45 * 351
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
