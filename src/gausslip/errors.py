@@ -12,7 +12,8 @@ class EvaluationError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """Adaptive integration exhausted its budget before reaching tolerance.
 
-    Carries the best available estimate and the estimated error bound.
+    Carries the best available estimate and an error bound for it, which is
+    inf where part of the domain was never visited.
     """
 
     def __init__(self, message, estimate=None, error_bound=None):

@@ -13,7 +13,8 @@ to order 3.
 Representations:
   * ``spectral``      -- exact multiplier action on a HermiteExpansion,
   * ``kernel``        -- for P_t, quadrature of the explicit kernel over a
-                         truncated y-domain (|y_i| <= 8 + 2 max|x|); for T_t,
+                         truncated y-domain (per point and axis,
+                         min(0, x_i) - 8 <= y_i <= max(0, x_i) + 8); for T_t,
                          Mehler's formula (below),
   * ``subordination`` -- s-integral of T_s against g(t, s), T_s by Mehler's
                          formula.
@@ -25,6 +26,12 @@ Mehler's formula writes T_s as a Gaussian average,
 which the 64-node Gauss-Hermite tensor rule evaluates with no truncation and
 exactly for polynomials of degree < 128 in each variable.  ``ou_apply`` and
 ``ph_apply`` build the rule once, when they make the operator.
+
+Every s-integral against d^k g/dt^k runs against T_s - T_inf, where T_inf f
+is the gamma-mean of f: the integrand then decays like e^{-s} instead of
+s^{-3/2}, and is 0 to float64 rounding once e^{-s} x is (s ~ 40).
+T_inf comes back in closed form, since ∫ g ds = 1 and ∫ d^k g/dt^k ds = 0
+for k >= 1.
 
 The kernel route applies P_t (and its t-derivatives) as one adaptive
 s-integral per call whose payload is the batch of values at the x-points:
@@ -65,6 +72,10 @@ _SQRT_PI = math.sqrt(math.pi)
 # e^{-v} weight below ~1e-20 for v > _V_CUT; sets the smallest s-scale that
 # can contribute, hence the inner panel width of graded y-grids.
 _V_CUT = 45.0
+
+# y-grids reach this far past the Mehler centres e^{-s} x (std <= 1/sqrt 2),
+# which lie between 0 and x: the dropped Gaussian mass is <= erfc(8) per side
+_Y_MARGIN = 8.0
 
 
 @dataclass(frozen=True)
@@ -206,34 +217,55 @@ def _mehler_gauss_hermite(f, s: np.ndarray, pts: np.ndarray, nodes) -> np.ndarra
 
 
 # ----------------------------------------------------------------------------
-# Truncated y-grids
+# Subordination: s-integrals against d^k/dt^k g(t, s)
 # ----------------------------------------------------------------------------
 
-def _truncation_radius(pts: np.ndarray) -> float:
-    return 8.0 + 2.0 * float(np.max(np.abs(pts)))
+def _subordinate(t: float, k: int, semigroup, tol: float) -> np.ndarray:
+    """∫ d^k/dt^k g(t, s) T_s ds for ``semigroup``: s (S,) -> T_s values
+    (S, ...), which must also take s = inf.
 
+    Integrates d^k g (T_s - T_inf) and adds T_inf back for k = 0: the
+    integrand decays like e^{-s}, so the outward blocks past s ~ 40 read 0.
+    """
+    limit = semigroup(np.array([np.inf]))[0]
+
+    def integrand(s):
+        # eval_batch's per-node retry passes scalar nodes
+        sv = np.atleast_1d(s)
+        v = semigroup(sv) - limit
+        v *= _stable_weight_factor(t, sv, k).reshape((-1,) + (1,) * limit.ndim)
+        return v.reshape(np.shape(s) + limit.shape)
+
+    vals = np.asarray(integrate_halfline(integrand, transform="inverse_square", tol=tol))
+    return vals + limit if k == 0 else vals
+
+
+# ----------------------------------------------------------------------------
+# Truncated y-grids
+# ----------------------------------------------------------------------------
 
 def _min_sigma(t: float) -> float:
     s_min = t * t / (4.0 * _V_CUT)
     return math.sqrt(0.5 * -math.expm1(-2.0 * s_min))
 
 
-def _ph_axis_panels(t: float, center: float, R: float):
+def _ph_axis_panels(t: float, center: float, lo: float, hi: float):
     # graded down to half the spike width at the smallest contributing s
-    return gauss_legendre_panels(graded_breaks(-R, R, center, 0.5 * _min_sigma(t)))
+    return gauss_legendre_panels(graded_breaks(lo, hi, center, 0.5 * _min_sigma(t)))
 
 
 def _ph_graded_grids(t: float, pts: np.ndarray, func):
     """Per-point graded y-grids and ``func`` on them, as ``_mehler_contract``
     takes them.
 
-    Point i gets the tensor grid of its per-axis panels graded toward x_i;
-    the axes are padded to a common length with zero weights.  ``func`` is
-    evaluated once, on all the grids together.
+    Point i gets the tensor grid of its per-axis panels graded toward x_i,
+    on [min(0, x_ia), max(0, x_ia)] widened by ``_Y_MARGIN``; the axes are
+    padded to a common length with zero weights.  ``func`` is evaluated once,
+    on all the grids together.
     """
     X, d = pts.shape
-    R = _truncation_radius(pts)
-    panels = [[_ph_axis_panels(t, float(c), R) for c in p] for p in pts]
+    panels = [[_ph_axis_panels(t, c, min(0.0, c) - _Y_MARGIN, max(0.0, c) + _Y_MARGIN)
+               for c in map(float, p)] for p in pts]
     grids = [tensor_grid(p)[0] for p in panels]
     vals = np.split(eval_batch(func, np.concatenate(grids)),
                     np.cumsum([len(g) for g in grids])[:-1])
@@ -321,14 +353,8 @@ def ou_apply(f, q: SemigroupQuery, *, d: int = 1):
 def _ph_kernel_payload(t: float, x_pt: np.ndarray, Y: np.ndarray, d: int,
                        k: int, tol: float) -> np.ndarray:
     """Integrate g-factor(t, s) * mehler(s, x, y) over s for a batch of y."""
-
-    def integrand(s):
-        w = _stable_weight_factor(t, s, k)
-        K = _mehler_from_s(s[:, None], x_pt[None, None, :], Y[None, :, :], d)
-        return w[:, None] * K
-
-    vals = integrate_halfline(integrand, transform="inverse_square", tol=tol)
-    return np.atleast_1d(np.asarray(vals, dtype=float))
+    return _subordinate(t, k, lambda s: _mehler_from_s(
+        s[:, None], x_pt[None, None, :], Y[None, :, :], d), tol)
 
 
 def _point_batches(x, y, d: int):
@@ -382,11 +408,8 @@ def ph_kernel_time_derivative(t: float, x, y, k: int, tol: float = 1e-9, d: int 
 @lru_cache(maxsize=4096)
 def _subordination_multiplier(t: float, n: int, tol: float) -> float:
     """lambda_n(t) = ∫_0^infty e^{-n s} g(t, s) ds  (equals e^{-sqrt(n) t})."""
-
-    def integrand(s):
-        return np.exp(-n * s) * _stable_weight_factor(t, s, 0)
-
-    return float(integrate_halfline(integrand, transform="inverse_square", tol=tol))
+    # T_s on chaos level n; on level 0 it is 1 at every s, s = inf included
+    return float(_subordinate(t, 0, lambda s: np.exp(-n * s) if n else np.ones_like(s), tol))
 
 
 def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
@@ -419,16 +442,7 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
             pts = as_points(x, d).reshape(-1, d)
             if pts.shape[0] == 0:
                 return np.empty(0)
-
-            def integrand(s):
-                # eval_batch's per-node retry passes scalar nodes
-                sv = np.atleast_1d(s)
-                ts = _mehler_gauss_hermite(f, sv, pts, nodes)
-                ts *= _stable_weight_factor(t, sv, 0)[:, None]
-                return ts.reshape(np.shape(s) + (-1,))
-
-            vals = np.atleast_1d(integrate_halfline(
-                integrand, transform="inverse_square", tol=tol))
+            vals = _subordinate(t, 0, lambda s: _mehler_gauss_hermite(f, s, pts, nodes), tol)
             return point_or_batch(x, vals, d)
 
         return apply_sub
@@ -443,40 +457,48 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
         if pts.shape[0] == 0:
             return np.empty(0)
         axes, F = _ph_graded_grids(t, pts, func)
-
         # Fubini: the y-quadrature runs inside the s-integrand, so the error
         # control acts on the values d^k/dt^k P_t f(x) themselves
-        def integrand(s):
-            return (_mehler_contract(s, pts, axes, F)
-                    * _stable_weight_factor(t, s, k)[:, None])
-
-        vals = integrate_halfline(integrand, transform="inverse_square", tol=tol)
-        return point_or_batch(x, np.atleast_1d(vals), dim)
+        vals = _subordinate(t, k, lambda s: _mehler_contract(s, pts, axes, F), tol)
+        return point_or_batch(x, vals, dim)
 
     return apply_kernel
 
 
-def derivative_weight_mass(t: float, k: int, tol: float = 1e-10) -> float:
-    """∫ |d^k/dt^k g(t, s)| ds: the scalar majorant of the kernel-derivative
-    L^1 norm obtained by moving the absolute value inside the s-integral
-    (the y-mass of the Gaussian factor is 1).
+def _weight_mass_constant(k: int) -> float:
+    """C_k = t^k ∫ |d^k/dt^k g(t, s)| ds in closed form.
 
-    t^k times this quantity is independent of t (substitute s -> t^2 sigma),
-    and bounded by 2 for k = 1.
+    With u = t^2/4s, t^k |d^k g| ds = |q_k(u)| e^{-u} u^{-1/2} du / sqrt(pi),
+    and q_k(u) e^{-u} u^{-1/2} is the derivative of F_k(u) = p_k(u) sqrt(u)
+    e^{-u}, which vanishes at 0 and oo.  The zeros of q_k cut (0, oo) into
+    pieces of one sign, so C_k is the sum of |F_k(b) - F_k(a)| over them.
+    """
+    p, zeros = {1: (lambda u: 2.0, (0.5,)),
+                2: (lambda u: -4.0 * u, (1.5,)),
+                3: (lambda u: 8.0 * u * u - 4.0 * u,
+                    (1.5 - math.sqrt(1.5), 1.5 + math.sqrt(1.5)))}[k]
+    F = [0.0, *(p(u) * math.sqrt(u) * math.exp(-u) for u in zeros), 0.0]
+    return sum(abs(b - a) for a, b in zip(F, F[1:])) / _SQRT_PI
+
+
+def derivative_weight_mass(t: float, k: int) -> float:
+    """∫ |d^k/dt^k g(t, s)| ds = C_k / t^k: the scalar majorant of the
+    kernel-derivative L^1 norm obtained by moving the absolute value inside
+    the s-integral (the y-mass of the Gaussian factor is 1).
+
+    C_1 = 4/sqrt(2 pi e) <= 2, C_2 = 1.8501639576452313 and
+    C_3 = 6.1445366794509875, in closed form (``_weight_mass_constant``).
     """
     if t <= 0:
         raise ValueError("time t must be positive")
     if not 1 <= k <= 3:
         raise ValueError("derivative weight mass supports 1 <= k <= 3")
-
-    def weight_mass(s):
-        return np.abs(_stable_weight_factor(t, s, k))
-
-    return float(integrate_halfline(weight_mass, transform="inverse_square", tol=tol))
+    return _weight_mass_constant(k) / t ** k
 
 
 def kernel_derivative_l1(t: float, x: float, k: int, tol: float = 1e-8) -> KernelL1:
-    """∫ |d^k/dt^k p(t, x, y)| dy over the truncated 1-d domain.
+    """∫ |d^k/dt^k p(t, x, y)| dy over the truncated 1-d domain |y| <= R,
+    R = 8 + 2|x|.
 
     The reported tail bound dominates the discarded |y| > R mass:
     ∫_{|y|>R} mehler(s, x, y) dy <= erfc(R - |x|) uniformly in s, times the
@@ -486,10 +508,10 @@ def kernel_derivative_l1(t: float, x: float, k: int, tol: float = 1e-8) -> Kerne
         raise ValueError("time t must be positive")
     if not 1 <= k <= 3:
         raise ValueError("kernel_derivative_l1 supports 1 <= k <= 3")
-    x_pt = np.asarray([float(x)])
-    R = _truncation_radius(x_pt)
-    y, wy = _ph_axis_panels(t, float(x), R)
-    vals = _ph_kernel_payload(t, x_pt, y[:, None], 1, k, tol)
+    x = float(x)
+    R = _Y_MARGIN + 2.0 * abs(x)
+    y, wy = _ph_axis_panels(t, x, -R, R)
+    vals = _ph_kernel_payload(t, np.array([x]), y[:, None], 1, k, tol)
     value = float(np.dot(wy, np.abs(vals)))
-    tail = derivative_weight_mass(t, k, tol=1e-8) * math.erfc(R - abs(x))
+    tail = derivative_weight_mass(t, k) * math.erfc(R - abs(x))
     return KernelL1(value=value, tail_bound=tail)

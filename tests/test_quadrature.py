@@ -176,6 +176,7 @@ class TestHalfline:
         with pytest.raises(ConvergenceError) as err:
             integrate_halfline(lambda s: 1.0 / (1.0 + s), "none", 1e-8)
         assert err.value.estimate is not None
+        assert err.value.error_bound == math.inf
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(EvaluationError):

@@ -309,6 +309,54 @@ class TestPHApply:
         with pytest.raises(ValueError, match="shape"):
             op(np.array([[0.1], [0.4]]))
 
+    @pytest.mark.parametrize("method", ["kernel", "subordination"])
+    def test_unit_mass_to_rounding(self, method):
+        # T_inf 1 = 1 is added back in closed form and T_s 1 - T_inf 1 is
+        # rounding, so only the y-rule's rounding is left
+        xs = np.linspace(-2.5, 2.5, 11)[:, None]
+        for t in (0.05, 0.25, 1.0, 2.0):
+            op = ph_apply(lambda p: np.ones(p.shape[0]), SemigroupQuery(t, method), d=1)
+            assert np.max(np.abs(op(xs) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("method", ["kernel", "subordination"])
+    def test_s_nodes_per_apply(self, method, monkeypatch):
+        # against T_s - T_inf the integrand is 0 past s ~ 40, so the blocks
+        # toward s -> oo stop after two quiet ones instead of near s = e^50
+        nodes = []
+        weight = semigroup._stable_weight_factor
+
+        def counted(t, s, k):
+            nodes.append(np.size(s))
+            return weight(t, s, k)
+
+        monkeypatch.setattr(semigroup, "_stable_weight_factor", counted)
+        op = ph_apply(lambda p: np.cos(p[:, 0]), SemigroupQuery(0.45, method), d=1, tol=1e-8)
+        op(np.linspace(-2.5, 2.5, 11)[:, None])
+        assert sum(nodes) <= 450
+
+    @pytest.mark.parametrize("inner_method, tol, xs", [
+        ("subordination", 1e-8, [-1.0, 0.0, 0.8]),
+        ("kernel", 1e-7, [0.8]),
+    ])
+    def test_semigroup_law_nested(self, inner_method, tol, xs):
+        # the eigen suite's ph.semigroup_law rows: P_0.3 P_0.45 cos = P_0.75 cos
+        cos = lambda p: np.cos(p[:, 0])
+        inner = ph_apply(cos, SemigroupQuery(0.45, inner_method), d=1, tol=tol)
+        nested = ph_apply(inner, SemigroupQuery(0.3, "kernel"), d=1, tol=tol)
+        direct = ph_apply(cos, SemigroupQuery(0.75, "kernel"), d=1, tol=1e-8)
+        x = np.array(xs)[:, None]
+        assert np.max(np.abs(nested(x) - direct(x))) <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_kernel_far_points(self, k):
+        # each point's y-span reaches 8 past 0 and past x_i, since the Mehler
+        # centres e^{-s} x lie between them; 4 short of 0 is ~1e-9 off here
+        t, x = 1.0, np.array([[-9.0], [9.0]])
+        op = ph_apply(lambda p: hermite_eval((2,), p), SemigroupQuery(t, "kernel", k),
+                      d=1, tol=1e-9)
+        want = (-math.sqrt(2.0)) ** k * math.exp(-math.sqrt(2.0) * t) * hermite_eval((2,), x)
+        assert np.max(np.abs(op(x) - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_kernel_derivative_order_cap(self):
         with pytest.raises(NotImplementedError):
             ph_apply(lambda p: p[:, 0], SemigroupQuery(0.5, "kernel", 4), d=1)
@@ -402,20 +450,40 @@ class TestKernelDerivativeL1:
         res = kernel_derivative_l1(1.0, 0.5, 3)
         assert res.value > 0.0
 
-    def test_weight_mass_stops_within_the_bisection_budget(self, monkeypatch):
+    def test_weight_mass_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        # with a = t^2/2s, d^k/dt^k [t e^{-t^2/4s}] = q_k(a) e^{-a/2} t^{1-k}
+        q = {1: lambda a: 1 - a, 2: lambda a: a * a - 3 * a,
+             3: lambda a: -3 * a + 6 * a * a - a ** 3}
+        with mpmath.workdps(30):
+            zeros = {1: [1], 2: [3], 3: [3 - mpmath.sqrt(6), 3 + mpmath.sqrt(6)]}
+            for k in (1, 2, 3):
+                for t in map(mpmath.mpf, ("1e-3", "0.01", "0.02", "1", "7")):
+                    def mass(s):
+                        a = t * t / (2 * s)
+                        return abs(q[k](a)) * mpmath.exp(-a / 2) * s ** -1.5
+
+                    # |q_k| has kinks at its zeros
+                    kinks = sorted(t * t / (2 * a) for a in zeros[k])
+                    want = (mpmath.quad(mass, [0, *kinks, mpmath.inf]) * t ** (1 - k)
+                            / (2 * mpmath.sqrt(mpmath.pi)))
+                    assert derivative_weight_mass(float(t), k) == pytest.approx(
+                        float(want), rel=1e-15)
+
+    def test_weight_mass_stops_within_the_bisection_budget(self):
         # at t = 1e-3 the k = 3 mass is ~6e9 and its integrand cancels near
         # its zeros, so the absolute tolerance 1e-10 is out of reach
         nodes = []
-        weight = semigroup._stable_weight_factor
 
-        def counted(t, s, k):
+        def mass(s):
             nodes.append(np.size(s))
-            return weight(t, s, k)
+            return np.abs(semigroup._stable_weight_factor(1e-3, s, 3))
 
-        monkeypatch.setattr(semigroup, "_stable_weight_factor", counted)
         with pytest.raises(ConvergenceError) as err:
-            derivative_weight_mass(1e-3, 3)
+            integrate_halfline(mass, transform="inverse_square", tol=1e-10)
         assert err.value.estimate > 0.0
+        # the blocks not yet visited are unknown, so no finite bound is claimed
+        assert err.value.error_bound >= abs(err.value.estimate - derivative_weight_mass(1e-3, 3))
         # a bisection queues two panels and each panel evaluates its two
         # 15-point halves; an interval (the central one or one of at most 350
         # outward blocks) adds its first panel and its halves
