@@ -10,10 +10,10 @@ class EvaluationError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive integration exhausted its budget before reaching tolerance.
+    """An integration stopped before reaching its tolerance.
 
     Carries the best available estimate and an error bound for it, which is
-    inf where part of the domain was never visited.
+    inf where the integrator cannot bound its error.
     """
 
     def __init__(self, message, estimate=None, error_bound=None):

@@ -12,9 +12,9 @@ citizens:
   different operator, and both are reported side by side.
 
 The derivative integrands use the k-th power (P_s - I)^k, whose symbol on
-a level with rate a is (e^{-a s} - 1)^k.  It is evaluated as the expm1
-power, free of the cancellation that a binomial sum of exponentials suffers
-at small s.
+a level with rate a is (e^{-a s} - 1)^k.  It is evaluated through expm1,
+free of the cancellation that a binomial sum of exponentials suffers at
+small s, and in log space together with s^{-beta-1}.
 """
 from __future__ import annotations
 
@@ -64,16 +64,28 @@ class FractionalSpec:
 def c_beta_constant(beta: float, k: int) -> float:
     """c^k_beta = ∫_0^infty u^{-beta-1} (e^{-u} - 1)^k du, 0 < beta < k.
 
-    Computed by adaptive quadrature; (e^{-u} - 1)^k is evaluated through
-    expm1, which is free of cancellation for small u.  Negative for odd k.
+    Computed by half-line quadrature of ``_difference_integrand`` at rate 1.
+    Negative for odd k.
     """
     if not 0 < beta < k:
         raise ValueError("c^k_beta requires 0 < beta < k")
+    return float(integrate_halfline(_difference_integrand(1.0, beta, k), tol=1e-12))
 
-    def integrand(u):
-        return np.expm1(-u) ** k * np.exp((-beta - 1.0) * np.log(u))
 
-    return float(integrate_halfline(integrand, transform="none", tol=1e-12))
+def _difference_integrand(a: float, beta: float, k: int):
+    """s -> (e^{-a s} - 1)^k s^{-beta-1}, the symbol of (P_s - I)^k on a level
+    with rate a against s^{-beta-1}.
+
+    Formed in log space, (-1)^k exp(k log(-expm1(-a s)) - (beta+1) log s):
+    the factors alone overflow at the tiny s the half-line rule reaches, and
+    expm1 keeps (e^{-a s} - 1) free of cancellation there.
+    """
+    sign = (-1.0) ** k
+
+    def integrand(s):
+        return sign * np.exp(k * np.log(-np.expm1(-a * s)) - (beta + 1.0) * np.log(s))
+
+    return integrand
 
 
 def c_beta_closed_form(beta: float, k: int) -> float:
@@ -107,16 +119,12 @@ def _integral_eigenvalue(kind: str, beta: float, k: int, n: int, tol: float) -> 
         def integrand(s):
             return np.exp((beta - 1.0) * np.log(s) - a * s)
 
-        return float(integrate_halfline(integrand, transform="none", tol=tol)) / math.gamma(beta)
+        return float(integrate_halfline(integrand, tol=tol)) / math.gamma(beta)
 
     if a == 0.0:
         return 0.0
 
-    def integrand(s):
-        # (e^{-a s} - 1)^k, the symbol of (P_s - I)^k, times s^{-beta-1}
-        return np.expm1(-a * s) ** k * np.exp((-beta - 1.0) * np.log(s))
-
-    num = float(integrate_halfline(integrand, transform="none", tol=tol))
+    num = float(integrate_halfline(_difference_integrand(a, beta, k), tol=tol))
     return num / c_beta_constant(beta, k)
 
 

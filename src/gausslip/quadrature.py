@@ -4,9 +4,11 @@ Two workhorses:
 
 * tensorized Gauss-Hermite rules for integrals against
   dgamma(x) = e^{-|x|^2} / pi^{d/2} dx, and
-* a deterministic adaptive panel integrator on a log-transformed axis for
-  integrands on (0, oo) such as e^{-t^2/4s} s^{-3/2} or s^{beta-1} e^{-cs},
-  which are smooth there but singular or slowly decaying on the raw axis.
+* the double-exponential trapezoid rule, s = exp((pi/2) sinh tau), with step
+  halving for integrands on (0, oo) such as e^{-t^2/4s} s^{-3/2} or
+  s^{beta-1} e^{-cs}, which are analytic there but singular or slowly
+  decaying on the raw axis; in tau they decay double-exponentially, and
+  the rule converges like exp(-c/h).
 
 All routines are pure; rules are immutable and safe to share.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,22 +24,25 @@ from .errors import ConvergenceError, EvaluationError
 
 SQRT_PI = math.sqrt(math.pi)
 
-HALFLINE_TRANSFORMS = ("none", "inverse_square")
-
-# 15-point Gauss-Legendre local rule used by every panel integrator here.
+# 15-point Gauss-Legendre local rule of the composite panels.
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 
-# Hard cap for the log axis; e^{+-_LOG_CAP} stays inside float64 range.
-_LOG_CAP = 700.0
+# Half-line rule: first step in tau, the halvings one integral may spend, the
+# |tau| the first level always covers (s = e^{+-15.7}: integrands whose mass
+# sits away from s = 1, such as e^{-ns} g(t, s) for large n, are seen there)
+# and the cap on |tau|, where s = exp((pi/2) sinh 6.5) ~ e^{+-522} stays
+# inside float64.
+_DE_STEP = 0.5
+_DE_HALVINGS = 8
+_DE_TAU_FIRST = 3.0
+_DE_TAU_CAP = 6.5
 
-# Half-line integrator: absolute error floor, and the bisections one integral
-# may spend over all its intervals.
-_HALFLINE_ABS_TOL = 1e-12
-_HALFLINE_MAX_BISECTIONS = 4096
+# s-nodes per integrand call: callers allocate payload arrays per node
+_DE_BATCH = 8
 
-# A panel whose halves change it by no more than this multiple of eps times its
-# magnitude is accepted: the rule has reached float64 rounding there.
-_ROUNDING_FLOOR = 64.0 * np.finfo(float).eps
+# Two levels that agree to this multiple of eps times the sum have reached
+# float64 rounding; a change this small against the absolute mass is noise.
+_ROUNDING = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -59,10 +65,12 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
+@lru_cache(maxsize=32)
 def gauss_hermite_rule(m: int) -> QuadratureRule:
     """Gauss-Hermite rule with ``m`` nodes for ∫_R e^{-x^2} f(x) dx.
 
     Deterministic for fixed ``m``; exact for polynomials of degree <= 2m-1.
+    Cached: the rule's arrays are read-only, so callers share one rule.
     """
     if m < 1:
         raise ValueError("node count m must be >= 1")
@@ -167,11 +175,6 @@ def gauss_legendre_panels(breakpoints) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def uniform_breaks(lo: float, hi: float, max_width: float) -> np.ndarray:
-    n = max(1, int(math.ceil((hi - lo) / max_width)))
-    return np.linspace(lo, hi, n + 1)
-
-
 def graded_breaks(lo: float, hi: float, center: float, inner: float,
                   growth: float = 1.5, max_width: float = 1.0) -> np.ndarray:
     """Panel breakpoints on [lo, hi] graded geometrically away from ``center``.
@@ -199,7 +202,7 @@ def graded_breaks(lo: float, hi: float, center: float, inner: float,
 
 
 # ----------------------------------------------------------------------------
-# Adaptive integration over (0, oo) on the log axis
+# Double-exponential trapezoid rule over (0, oo)
 # ----------------------------------------------------------------------------
 
 def _weight_payload(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -207,105 +210,112 @@ def _weight_payload(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
     return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
 
 
-def _gl15_panel(G, a: float, b: float):
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _GL15_X
-    return h * np.tensordot(_GL15_W, G(x), axes=(0, 0))
+def _de_terms(g, tau: np.ndarray) -> np.ndarray:
+    """g(s) ds/dtau at s = exp((pi/2) sinh tau), _DE_BATCH nodes per call of g."""
+    parts = []
+    for lo in range(0, tau.size, _DE_BATCH):
+        u = tau[lo:lo + _DE_BATCH]
+        s = np.exp(0.5 * math.pi * np.sinh(u))
+        parts.append(_weight_payload(eval_batch(g, s), 0.5 * math.pi * np.cosh(u) * s))
+    return np.concatenate(parts)
 
 
-def integrate_halfline(g, transform: str = "none", tol: float = 1e-10):
-    """Adaptive integral of ``g`` over (0, oo) with an optional substitution.
+def _max_abs(v) -> float:
+    return float(np.max(np.abs(v)))
 
-    transform:
-      * ``"none"``           -- integrate g(s) ds over (0, oo)
-      * ``"inverse_square"`` -- integrate g(s) ds over (0, oo) via s -> 1/s
 
-    The working variable is mapped to the log axis, where the integrator uses
-    dyadic bisection of fixed 15-point Gauss-Legendre panels, extending the
-    domain outward until new blocks are negligible.  ``g`` follows the batch
-    contract of ``eval_batch`` and may return a payload of shape (n, ...); the
-    error metric is then the max over payload components.  A panel is
-    accepted when its two halves change it by less than its share of the
-    absolute budget, or by no more than float64 rounding of its value.
-    Subdivision order is deterministic.
+def integrate_halfline(g, tol: float = 1e-10):
+    """Integral of ``g`` over (0, oo) by the double-exponential trapezoid rule.
 
-    Raises ConvergenceError at once when the call has spent its 4096
-    bisections, which the central interval and the outward blocks share, or
-    when the extension reaches the log-axis cap.  Its estimate holds the
-    intervals done and the open panels; its error bound is inf, since the
-    outward blocks not yet visited are unknown.
+    Substitutes s = exp((pi/2) sinh tau), which makes integrands that are
+    analytic on (0, oo) and decay like a power of s (or faster) at both ends
+    decay double-exponentially in tau, and sums g(s) ds/dtau at the nodes
+    tau = j h.  The first step h = 0.5 sets the truncation: it takes every
+    node with |tau| <= 3 and walks on until the two outermost terms on each
+    side are below 1e-2 tol (at the cap, the outermost alone); each side
+    ends one node past its outermost term above that.  The step then halves,
+    each level adding the midpoints of the last, until two levels after the
+    first halving agree to max(tol, 64 eps |S|).  ``g`` follows the batch
+    contract of ``eval_batch``, gets at most 8 s-nodes per call and may return
+    a payload of shape (n, ...); the error metric is then the max over payload
+    components.
+
+    Raises ConvergenceError, with the last level's sum as estimate and an
+    error bound of inf, when the step has halved 8 times (at most
+    26 * 2^8 + 1 = 6657 nodes), when the terms are not negligible at the
+    cap |tau| = 6.5, where s nears the ends of float64 (the integral may
+    diverge), or when two levels differ only by the float64 rounding of the
+    absolute mass h sum |terms|, which cancellation leaves out of reach of
+    tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if transform not in HALFLINE_TRANSFORMS:
-        raise ValueError(f"unknown transform {transform!r}; expected one of {HALFLINE_TRANSFORMS}")
+    h = _DE_STEP
+    first, cap = round(_DE_TAU_FIRST / h), round(_DE_TAU_CAP / h)
+    quiet = 1e-2 * tol / h
 
-    if transform == "none":
-        def G(u):
-            s = np.exp(u)
-            return _weight_payload(eval_batch(g, s), s)
-    else:  # inverse_square: ∫_0^infty g(s) ds = ∫_0^infty g(1/v) v^{-2} dv, v = e^u
-        def G(u):
-            return _weight_payload(eval_batch(g, np.exp(-u)), np.exp(-u))
+    # first level: every node with |tau| <= 3, then four more per side while
+    # that side's two outermost terms are not both negligible (at the cap,
+    # the outermost alone)
+    terms = dict(zip(range(-first, first + 1),
+                     _de_terms(g, h * np.arange(-first, first + 1.0))))
+    reach = {-1: first, 1: first}
 
-    budget = max(_HALFLINE_ABS_TOL, tol)
-    value, bisections = 0.0, 0
+    def negligible(j):
+        return _max_abs(terms[j]) <= quiet
 
-    def adaptive(a: float, b: float, abs_budget: float):
-        """Dyadic bisection of [a, b] with the fixed 15-point rule, in
-        deterministic order, drawing on the call's one bisection budget."""
-        nonlocal bisections
-        total = None
-        stack = [(a, b, _gl15_panel(G, a, b))]
-        while stack:
-            lo, hi, whole = stack.pop()
-            mid = 0.5 * (lo + hi)
-            left = _gl15_panel(G, lo, mid)
-            right = _gl15_panel(G, mid, hi)
-            better = left + right
-            delta = float(np.max(np.abs(better - whole)))
-            if (delta <= abs_budget * (hi - lo) / (b - a)
-                    or delta <= _ROUNDING_FLOOR * float(np.max(np.abs(better)))):
-                total = better if total is None else total + better
-            elif bisections == _HALFLINE_MAX_BISECTIONS:
-                done = better if total is None else total + better
-                raise ConvergenceError(
-                    f"half-line bisection budget ({_HALFLINE_MAX_BISECTIONS}) exhausted",
-                    estimate=_maybe_scalar(value + sum((p[2] for p in stack), done)),
-                    error_bound=math.inf,
-                )
-            else:
-                bisections += 1
-                stack.append((mid, hi, right))
-                stack.append((lo, mid, left))
-        return total
+    while True:
+        todo = [side for side in (-1, 1)
+                if not (negligible(side * reach[side])
+                        and (reach[side] == cap or negligible(side * (reach[side] - 1))))]
+        if not todo:
+            break
+        if any(reach[side] == cap for side in todo):
+            raise ConvergenceError(
+                f"half-line terms are not negligible at |tau| = {_DE_TAU_CAP}; "
+                "the integral may diverge",
+                estimate=_maybe_scalar(h * sum(terms.values())),
+                error_bound=math.inf,
+            )
+        new = [side * j for side in todo
+               for j in range(reach[side] + 1, min(reach[side] + 4, cap) + 1)]
+        terms.update(zip(new, _de_terms(g, h * np.asarray(new, dtype=float))))
+        for side in todo:
+            reach[side] = min(reach[side] + 4, cap)
+    # each side ends one node past its outermost term that is not negligible
+    ends = {side: 1 + max((j for j in range(1, reach[side]) if not negligible(side * j)),
+                          default=0) for side in (-1, 1)}
 
-    value = adaptive(-6.0, 6.0, 0.5 * budget)
-
-    # Extend outward in width-4 blocks until two consecutive blocks are quiet.
-    for direction in (+1, -1):
-        edge = 6.0 * direction
-        quiet = 0
-        while quiet < 2:
-            nxt = edge + 4.0 * direction
-            if abs(nxt) > _LOG_CAP:
-                raise ConvergenceError(
-                    "half-line extension reached the log-axis cap without the "
-                    "integrand decaying; integral may diverge",
-                    estimate=_maybe_scalar(value),
-                    error_bound=math.inf,
-                )
-            lo, hi = (edge, nxt) if direction > 0 else (nxt, edge)
-            v = adaptive(lo, hi, 0.25 * budget)
-            value = value + v
-            scale = float(np.max(np.abs(value)))
-            if float(np.max(np.abs(v))) <= 0.05 * (_HALFLINE_ABS_TOL + tol * (1.0 + scale)):
-                quiet += 1
-            else:
-                quiet = 0
-            edge = nxt
-
-    return _maybe_scalar(value)
+    kept = [terms[j] for j in range(-ends[-1], ends[1] + 1)]
+    total = h * sum(kept)
+    mass = h * sum(np.abs(v) for v in kept)
+    for level in range(1, _DE_HALVINGS + 1):
+        h *= 0.5
+        # the new nodes: odd multiples of h inside the first level's range
+        new = _de_terms(g, h * np.arange(1 - (ends[-1] << level), ends[1] << level, 2.0))
+        prev, total = total, 0.5 * total + h * new.sum(axis=0)
+        mass = 0.5 * mass + h * np.abs(new).sum(axis=0)
+        if level == 1:
+            # a feature narrower than 0.5 in tau meets one node at h = 0.5,
+            # and the sums at h = 0.5 and 0.25 can then agree by chance
+            continue
+        change = _max_abs(total - prev)
+        if change <= max(tol, _ROUNDING * _max_abs(total)):
+            return _maybe_scalar(total)
+        if change <= _ROUNDING * _max_abs(mass):
+            raise ConvergenceError(
+                f"half-line levels differ by {change:.3g}, the float64 rounding of "
+                f"the integrand's absolute mass {_max_abs(mass):.3g}: cancellation "
+                f"keeps tol {tol:g} out of reach",
+                estimate=_maybe_scalar(total),
+                error_bound=math.inf,
+            )
+    raise ConvergenceError(
+        f"half-line step halved {_DE_HALVINGS} times without two levels agreeing "
+        f"to tol {tol:g}",
+        estimate=_maybe_scalar(total),
+        error_bound=math.inf,
+    )
 
 
 def _maybe_scalar(value):

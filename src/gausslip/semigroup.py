@@ -33,7 +33,7 @@ s^{-3/2}, and is 0 to float64 rounding once e^{-s} x is (s ~ 40).
 T_inf comes back in closed form, since ∫ g ds = 1 and ∫ d^k g/dt^k ds = 0
 for k >= 1.
 
-The kernel route applies P_t (and its t-derivatives) as one adaptive
+The kernel route applies P_t (and its t-derivatives) as one
 s-integral per call whose payload is the batch of values at the x-points:
 by Fubini the y-quadrature runs inside the s-integrand, so the error control
 acts on d^k/dt^k P_t f(x) itself.  f is evaluated once per call, and at each
@@ -225,7 +225,7 @@ def _subordinate(t: float, k: int, semigroup, tol: float) -> np.ndarray:
     (S, ...), which must also take s = inf.
 
     Integrates d^k g (T_s - T_inf) and adds T_inf back for k = 0: the
-    integrand decays like e^{-s}, so the outward blocks past s ~ 40 read 0.
+    integrand decays like e^{-s} and reads 0 past s ~ 40.
     """
     limit = semigroup(np.array([np.inf]))[0]
 
@@ -236,7 +236,7 @@ def _subordinate(t: float, k: int, semigroup, tol: float) -> np.ndarray:
         v *= _stable_weight_factor(t, sv, k).reshape((-1,) + (1,) * limit.ndim)
         return v.reshape(np.shape(s) + limit.shape)
 
-    vals = np.asarray(integrate_halfline(integrand, transform="inverse_square", tol=tol))
+    vals = np.asarray(integrate_halfline(integrand, tol=tol))
     return vals + limit if k == 0 else vals
 
 
@@ -286,7 +286,8 @@ def _ph_graded_grids(t: float, pts: np.ndarray, func):
 # ----------------------------------------------------------------------------
 
 # x-points per block of ``_mehler_contract``: keeps its (S, block, N) factor
-# arrays at a few MB for 15 s-nodes and ~600 nodes per axis
+# arrays at a few MB for the half-line rule's 8 s-nodes per call and ~600
+# nodes per axis
 _X_BLOCK = 64
 
 
@@ -389,7 +390,7 @@ def _ph_kernel_values(t: float, x, y, d: int, k: int, tol: float):
 
 
 def ph_kernel(t: float, x, y, tol: float = 1e-9, d: int = 1):
-    """Poisson-Hermite kernel p(t, x, y) by adaptive subordination quadrature."""
+    """Poisson-Hermite kernel p(t, x, y) by subordination quadrature."""
     return _ph_kernel_values(t, x, y, d, 0, tol)
 
 

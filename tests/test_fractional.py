@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gausslip import fractional
 from gausslip.fractional import (
     FractionalSpec,
     apply_fractional,
@@ -73,6 +74,36 @@ class TestCBetaConstant:
             c_beta_constant(1.5, 1)
         with pytest.raises(ValueError):
             c_beta_constant(0.0, 1)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 1.5, 2.5])
+def test_difference_integrals_match_mpmath(beta):
+    """∫ s^{-beta-1} (e^{-a s} - 1)^k ds, a in {1, 2, 4}: c^k_beta at a = 1,
+    and over c^k_beta the integral Riesz derivative on level n = a^2.
+
+    The half-line rule reaches s ~ e^{-522}, where s^{-beta-1} alone
+    overflows; the integrands are formed in log space.  At beta = 0.1 the
+    s^{-1.1} tail decays to 1e-2 tol only at the cap |tau| = 6.5.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    k = smallest_integer_above(beta)
+    with mpmath.workdps(30):
+        b = mpmath.mpf(beta)
+
+        def integral(a):
+            # past s = 1, (e^{-as} - 1)^k - (-1)^k decays exponentially and
+            # the (-1)^k s^{-beta-1} tail is (-1)^k / beta
+            head = mpmath.quad(lambda s: mpmath.expm1(-a * s) ** k * s ** (-b - 1), [0, 1])
+            tail = mpmath.quad(lambda s: (mpmath.expm1(-a * s) ** k - (-1) ** k)
+                               * s ** (-b - 1), [1, mpmath.inf])
+            return head + tail + (-1) ** k / b
+
+        c = integral(1)
+        assert c_beta_constant(beta, k) == pytest.approx(float(c), rel=1e-10)
+        for a in (1, 2, 4):
+            got = fractional._integral_eigenvalue("riesz_derivative", beta, k, a * a,
+                                                  FractionalSpec.tol)
+            assert got == pytest.approx(float(integral(a) / c), rel=1e-10)
 
 
 class TestEigenvalueOracle:

@@ -6,7 +6,7 @@ import pytest
 from gausslip import quadrature, semigroup
 from gausslip.errors import ConvergenceError
 from gausslip.hermite import HermiteExpansion, eval_expansion, hermite_eval, project
-from gausslip.quadrature import gauss_legendre_panels, integrate_halfline, uniform_breaks
+from gausslip.quadrature import gauss_legendre_panels, integrate_halfline
 from gausslip.semigroup import (
     SemigroupQuery,
     StableMeasureParams,
@@ -48,7 +48,7 @@ class TestMehlerKernel:
         assert mehler_kernel(40.0, 1.3, 0.0) == pytest.approx(math.pi ** -0.5, rel=1e-12)
 
     def test_mass_one(self):
-        ys, w = gauss_legendre_panels(uniform_breaks(-11.5, 11.5, 0.4))
+        ys, w = gauss_legendre_panels(np.linspace(-11.5, 11.5, 59))
         for t, x in [(0.1, 0.0), (0.1, 1.5), (1.0, 0.0), (1.0, 1.5)]:
             vals = mehler_kernel(t, np.array([[x]]), ys[:, None])
             assert float(w @ vals) == pytest.approx(1.0, abs=1e-8)
@@ -107,8 +107,7 @@ class TestOUApply:
 
 class TestStableDensity:
     def test_mass_one(self):
-        got = integrate_halfline(lambda s: stable_density(StableMeasureParams(1.0), s),
-                                 "inverse_square", 1e-9)
+        got = integrate_halfline(lambda s: stable_density(StableMeasureParams(1.0), s), 1e-9)
         assert got == pytest.approx(1.0, abs=1e-8)
 
     def test_argmax_by_ternary_search(self):
@@ -139,7 +138,7 @@ class TestStableDensity:
 
 
 def _panel_integral_1d(f, lo, hi, width):
-    ys, w = gauss_legendre_panels(uniform_breaks(lo, hi, width))
+    ys, w = gauss_legendre_panels(np.linspace(lo, hi, round((hi - lo) / width) + 1))
     return float(w @ f(ys)), ys, w
 
 
@@ -220,6 +219,15 @@ class TestPHApply:
             assert out.coefficient((n,)) == pytest.approx(
                 math.exp(-math.sqrt(n) * 0.8), rel=1e-8)
 
+    @pytest.mark.parametrize("t", [1e-4, 1.0])
+    def test_subordination_multiplier_at_a_high_level(self, t):
+        # e^{-400 s} g(t, s) is negligible near s = 1 and peaks at
+        # s = t/40 (tau ~ -2.8 and -1.6); at t = 1 one node of the step 0.5
+        # meets the peak
+        semigroup._subordination_multiplier.cache_clear()
+        got = semigroup._subordination_multiplier(t, 400, 1e-9)
+        assert abs(got - math.exp(-20.0 * t)) <= 1e-9
+
     def test_subordination_derivative_unsupported(self):
         e = HermiteExpansion(1, 1, {(1,): 1.0})
         with pytest.raises(NotImplementedError):
@@ -264,6 +272,23 @@ class TestPHApply:
         xs = np.linspace(-2.5, 2.5, 11)
         want = (-math.sqrt(n)) ** 3 * math.exp(-math.sqrt(n) * t) * hermite_eval((n,), xs)
         assert np.max(np.abs(op(xs[:, None]) - want)) <= 1e-6
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-3])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_kernel_derivative_at_small_time_is_right_or_raises(self, t, k):
+        # the terms of d^k g/dt^k reach ~t^{-k} and cancel; where the float64
+        # rounding of their mass is above tol, the call must raise, not
+        # return a value that is off
+        op = ph_apply(lambda p: hermite_eval((3,), p), SemigroupQuery(t, "kernel", k),
+                      d=1, tol=1e-9)
+        xs = np.linspace(-2.0, 2.0, 11)
+        want = (-math.sqrt(3.0)) ** k * math.exp(-math.sqrt(3.0) * t) * hermite_eval((3,), xs)
+        try:
+            got = op(xs[:, None])
+        except ConvergenceError as err:
+            assert err.error_bound == math.inf
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-6
 
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("nu", [(1, 1), (2, 1)])  # (2, 1) tells the axes apart
@@ -320,8 +345,8 @@ class TestPHApply:
 
     @pytest.mark.parametrize("method", ["kernel", "subordination"])
     def test_s_nodes_per_apply(self, method, monkeypatch):
-        # against T_s - T_inf the integrand is 0 past s ~ 40, so the blocks
-        # toward s -> oo stop after two quiet ones instead of near s = e^50
+        # against T_s - T_inf the integrand is 0 past s ~ 40, so the rule
+        # truncates near tau = 1.5 on that side; 8 s-nodes at most per call
         nodes = []
         weight = semigroup._stable_weight_factor
 
@@ -332,7 +357,8 @@ class TestPHApply:
         monkeypatch.setattr(semigroup, "_stable_weight_factor", counted)
         op = ph_apply(lambda p: np.cos(p[:, 0]), SemigroupQuery(0.45, method), d=1, tol=1e-8)
         op(np.linspace(-2.5, 2.5, 11)[:, None])
-        assert sum(nodes) <= 450
+        assert sum(nodes) <= 150
+        assert max(nodes) <= 8
 
     @pytest.mark.parametrize("inner_method, tol, xs", [
         ("subordination", 1e-8, [-1.0, 0.0, 0.8]),
@@ -387,7 +413,7 @@ class TestPHApply:
 
 class TestKernelTimeDerivative:
     def test_mass_is_conserved(self):
-        ys, w = gauss_legendre_panels(uniform_breaks(-9.0, 9.0, 0.1))
+        ys, w = gauss_legendre_panels(np.linspace(-9.0, 9.0, 181))
         vals = ph_kernel_time_derivative(0.5, np.array([[0.0]]), ys[:, None], 1)
         assert abs(float(w @ vals)) <= 1e-7
 
@@ -417,7 +443,7 @@ class TestKernelTimeDerivative:
     def test_spectral_sign_consistency(self):
         # ∫ dt p(t, x, y) h_1(y) dy = -e^{-t} h_1(x)
         t, x = 0.6, 1.0
-        ys, w = gauss_legendre_panels(uniform_breaks(-10.0, 12.0, 0.1))
+        ys, w = gauss_legendre_panels(np.linspace(-10.0, 12.0, 221))
         vals = ph_kernel_time_derivative(t, np.array([[x]]), ys[:, None], 1)
         got = float(w @ (vals * hermite_eval((1,), ys)))
         assert got == pytest.approx(-math.exp(-t) * hermite_eval((1,), x), abs=1e-6)
@@ -470,9 +496,15 @@ class TestKernelDerivativeL1:
                     assert derivative_weight_mass(float(t), k) == pytest.approx(
                         float(want), rel=1e-15)
 
-    def test_weight_mass_stops_within_the_bisection_budget(self):
-        # at t = 1e-3 the k = 3 mass is ~6e9 and its integrand cancels near
-        # its zeros, so the absolute tolerance 1e-10 is out of reach
+    def test_weight_mass_stops_within_the_node_bound(self):
+        """At t = 1e-3 the k = 3 mass is ~6e9, and |d^3 g| has kinks at the
+        zeros of d^3 g, where the trapezoid rule converges only like h^2: no
+        level reaches float64 rounding of the mass before the halving cap.
+
+        Worst case of one call: the first level walks |tau| <= 6.5 at step
+        0.5 (27 nodes), and each of the 8 halvings adds the midpoints of the
+        last level, 26 * 2^(l-1) at halving l: 26 * 2^8 + 1 = 6657 nodes.
+        """
         nodes = []
 
         def mass(s):
@@ -480,14 +512,15 @@ class TestKernelDerivativeL1:
             return np.abs(semigroup._stable_weight_factor(1e-3, s, 3))
 
         with pytest.raises(ConvergenceError) as err:
-            integrate_halfline(mass, transform="inverse_square", tol=1e-10)
+            integrate_halfline(mass, tol=1e-10)
         assert err.value.estimate > 0.0
-        # the blocks not yet visited are unknown, so no finite bound is claimed
+        # the levels never agreed, so no finite bound is claimed
         assert err.value.error_bound >= abs(err.value.estimate - derivative_weight_mass(1e-3, 3))
-        # a bisection queues two panels and each panel evaluates its two
-        # 15-point halves; an interval (the central one or one of at most 350
-        # outward blocks) adds its first panel and its halves
-        assert sum(nodes) <= 60 * quadrature._HALFLINE_MAX_BISECTIONS + 45 * 351
+        bound = round(2 * quadrature._DE_TAU_CAP / quadrature._DE_STEP) \
+            * 2 ** quadrature._DE_HALVINGS + 1
+        assert bound == 6657
+        assert sum(nodes) <= bound
+        assert max(nodes) <= 8
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
