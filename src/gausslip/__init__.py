@@ -28,7 +28,6 @@ from .hermite import (
 )
 from .semigroup import (
     SemigroupQuery,
-    StableMeasureParams,
     derivative_weight_mass,
     kernel_derivative_l1,
     mehler_kernel,

@@ -4,11 +4,16 @@ Two workhorses:
 
 * tensorized Gauss-Hermite rules for integrals against
   dgamma(x) = e^{-|x|^2} / pi^{d/2} dx, and
-* the double-exponential trapezoid rule, s = exp((pi/2) sinh tau), with step
-  halving for integrands on (0, oo) such as e^{-t^2/4s} s^{-3/2} or
-  s^{beta-1} e^{-cs}, which are analytic there but singular or slowly
-  decaying on the raw axis; in tau they decay double-exponentially, and
-  the rule converges like exp(-c/h).
+* the trapezoid rule with step halving for integrands on (0, oo), in one of
+  two variables.  Integrands such as s^{beta-1} e^{-cs}, analytic on (0, oo)
+  but singular or slowly decaying on the raw axis, take the double-
+  exponential map s = exp((pi/2) sinh tau), which makes them decay
+  double-exponentially in tau.  Integrands that already decay double-
+  exponentially in u = log s at both ends, such as e^{-t^2/4s} (T_s - T_inf),
+  take the plain map s = e^u (``rapid=True``): the sinh map would compress
+  them a second time and narrow their strip of analyticity where the mass
+  sits, so they would need a finer step.  Either way the rule converges like
+  exp(-c/h).
 
 All routines are pure; rules are immutable and safe to share.
 """
@@ -27,15 +32,26 @@ SQRT_PI = math.sqrt(math.pi)
 # 15-point Gauss-Legendre local rule of the composite panels.
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 
-# Half-line rule: first step in tau, the halvings one integral may spend, the
-# |tau| the first level always covers (s = e^{+-15.7}: integrands whose mass
-# sits away from s = 1, such as e^{-ns} g(t, s) for large n, are seen there)
-# and the cap on |tau|, where s = exp((pi/2) sinh 6.5) ~ e^{+-522} stays
-# inside float64.
+# Half-line rule, per map: first step, the |u| the first level always
+# covers, the cap on |u|, and the factor of tol / h below which a term is
+# negligible.  Exp-sinh: the first level covers |tau| <= 3, s = e^{+-15.7}
+# (integrands whose mass sits away from s = 1, such as e^{-ns} g(t, s) for
+# large n, are seen there), and at the cap s = exp((pi/2) sinh 6.5) ~
+# e^{+-522} stays inside float64.  Log: the first level covers s = e^{+-16},
+# which contains the exp-sinh first level, and the cap is the same s-range;
+# the tails of the integrands it serves, triple-exponential in tau, are only
+# double-exponential in log s, so a term is negligible 1e4 times further down.
 _DE_STEP = 0.5
-_DE_HALVINGS = 8
 _DE_TAU_FIRST = 3.0
 _DE_TAU_CAP = 6.5
+_DE_QUIET = 1e-2
+_LOG_STEP = 1.0
+_LOG_U_FIRST = 16.0
+_LOG_U_CAP = 522.0
+_LOG_QUIET = 1e-6
+
+# halvings one integral may spend
+_DE_HALVINGS = 8
 
 # s-nodes per integrand call: callers allocate payload arrays per node
 _DE_BATCH = 8
@@ -202,7 +218,7 @@ def graded_breaks(lo: float, hi: float, center: float, inner: float,
 
 
 # ----------------------------------------------------------------------------
-# Double-exponential trapezoid rule over (0, oo)
+# Trapezoid rule over (0, oo) in tau (exp-sinh map) or in log s
 # ----------------------------------------------------------------------------
 
 def _weight_payload(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -210,13 +226,19 @@ def _weight_payload(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
     return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
 
 
-def _de_terms(g, tau: np.ndarray) -> np.ndarray:
-    """g(s) ds/dtau at s = exp((pi/2) sinh tau), _DE_BATCH nodes per call of g."""
+def _halfline_terms(g, u: np.ndarray, rapid: bool) -> np.ndarray:
+    """g(s) ds/du at s = e^u (``rapid``) or s = exp((pi/2) sinh u),
+    _DE_BATCH nodes per call of g."""
     parts = []
-    for lo in range(0, tau.size, _DE_BATCH):
-        u = tau[lo:lo + _DE_BATCH]
-        s = np.exp(0.5 * math.pi * np.sinh(u))
-        parts.append(_weight_payload(eval_batch(g, s), 0.5 * math.pi * np.cosh(u) * s))
+    for lo in range(0, u.size, _DE_BATCH):
+        v = u[lo:lo + _DE_BATCH]
+        if rapid:
+            s = np.exp(v)
+            ds = s
+        else:
+            s = np.exp(0.5 * math.pi * np.sinh(v))
+            ds = 0.5 * math.pi * np.cosh(v) * s
+        parts.append(_weight_payload(eval_batch(g, s), ds))
     return np.concatenate(parts)
 
 
@@ -224,16 +246,23 @@ def _max_abs(v) -> float:
     return float(np.max(np.abs(v)))
 
 
-def integrate_halfline(g, tol: float = 1e-10):
-    """Integral of ``g`` over (0, oo) by the double-exponential trapezoid rule.
+def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
+    """Integral of ``g`` over (0, oo) by the trapezoid rule with step halving.
 
-    Substitutes s = exp((pi/2) sinh tau), which makes integrands that are
-    analytic on (0, oo) and decay like a power of s (or faster) at both ends
-    decay double-exponentially in tau, and sums g(s) ds/dtau at the nodes
-    tau = j h.  The first step h = 0.5 sets the truncation: it takes every
-    node with |tau| <= 3 and walks on until the two outermost terms on each
-    side are below 1e-2 tol (at the cap, the outermost alone); each side
-    ends one node past its outermost term above that.  The step then halves,
+    By default it substitutes s = exp((pi/2) sinh tau), which makes
+    integrands that are analytic on (0, oo) and decay like a power of s (or
+    faster) at both ends decay double-exponentially in tau, and sums
+    g(s) ds/dtau at the nodes tau = j h.  With ``rapid=True`` the variable is
+    u = log s and the terms g(s) s at u = j h: for integrands that already
+    decay double-exponentially in log s at both ends and are analytic in a
+    strip around the real u-axis.
+
+    The first step sets the truncation: it takes every node with
+    |tau| <= 3 at h = 0.5 (|u| <= 16 at h = 1) and walks on, four nodes a
+    side per call, until the two outermost terms on each side are
+    negligible, below 1e-2 tol / h in tau and 1e-6 tol / h in log s (at the
+    cap, the outermost alone); each side ends one node past its outermost
+    term above that.  The step then halves,
     each level adding the midpoints of the last, until two levels after the
     first halving agree to max(tol, 64 eps |S|).  ``g`` follows the batch
     contract of ``eval_batch``, gets at most 8 s-nodes per call and may return
@@ -242,23 +271,28 @@ def integrate_halfline(g, tol: float = 1e-10):
 
     Raises ConvergenceError, with the last level's sum as estimate and an
     error bound of inf, when the step has halved 8 times (at most
-    26 * 2^8 + 1 = 6657 nodes), when the terms are not negligible at the
-    cap |tau| = 6.5, where s nears the ends of float64 (the integral may
-    diverge), or when two levels differ only by the float64 rounding of the
-    absolute mass h sum |terms|, which cancellation leaves out of reach of
-    tol.
+    26 * 2^8 + 1 = 6657 nodes; in log s, 1044 * 2^8 + 1 = 267265), when the
+    terms are not negligible at the cap |tau| = 6.5 (|u| = 522), where s
+    nears the ends of float64 (the integral may diverge), or when two levels
+    differ only by the float64 rounding of the absolute mass h sum |terms|,
+    which cancellation leaves out of reach of tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    h = _DE_STEP
-    first, cap = round(_DE_TAU_FIRST / h), round(_DE_TAU_CAP / h)
-    quiet = 1e-2 * tol / h
+    if rapid:
+        h, u_first, u_cap, quiet = _LOG_STEP, _LOG_U_FIRST, _LOG_U_CAP, _LOG_QUIET
+    else:
+        h, u_first, u_cap, quiet = _DE_STEP, _DE_TAU_FIRST, _DE_TAU_CAP, _DE_QUIET
+    first, cap = round(u_first / h), round(u_cap / h)
+    quiet = quiet * tol / h
 
-    # first level: every node with |tau| <= 3, then four more per side while
-    # that side's two outermost terms are not both negligible (at the cap,
-    # the outermost alone)
-    terms = dict(zip(range(-first, first + 1),
-                     _de_terms(g, h * np.arange(-first, first + 1.0))))
+    def terms_at(u):
+        return _halfline_terms(g, u, rapid)
+
+    # first level: every node with |u| <= u_first, then four more per side
+    # while that side's two outermost terms are not both negligible (at the
+    # cap, the outermost alone)
+    terms = dict(zip(range(-first, first + 1), terms_at(h * np.arange(-first, first + 1.0))))
     reach = {-1: first, 1: first}
 
     def negligible(j):
@@ -272,14 +306,14 @@ def integrate_halfline(g, tol: float = 1e-10):
             break
         if any(reach[side] == cap for side in todo):
             raise ConvergenceError(
-                f"half-line terms are not negligible at |tau| = {_DE_TAU_CAP}; "
-                "the integral may diverge",
+                f"half-line terms are not negligible at |{'u' if rapid else 'tau'}| "
+                f"= {u_cap}; the integral may diverge",
                 estimate=_maybe_scalar(h * sum(terms.values())),
                 error_bound=math.inf,
             )
         new = [side * j for side in todo
                for j in range(reach[side] + 1, min(reach[side] + 4, cap) + 1)]
-        terms.update(zip(new, _de_terms(g, h * np.asarray(new, dtype=float))))
+        terms.update(zip(new, terms_at(h * np.asarray(new, dtype=float))))
         for side in todo:
             reach[side] = min(reach[side] + 4, cap)
     # each side ends one node past its outermost term that is not negligible
@@ -292,12 +326,12 @@ def integrate_halfline(g, tol: float = 1e-10):
     for level in range(1, _DE_HALVINGS + 1):
         h *= 0.5
         # the new nodes: odd multiples of h inside the first level's range
-        new = _de_terms(g, h * np.arange(1 - (ends[-1] << level), ends[1] << level, 2.0))
+        new = terms_at(h * np.arange(1 - (ends[-1] << level), ends[1] << level, 2.0))
         prev, total = total, 0.5 * total + h * new.sum(axis=0)
         mass = 0.5 * mass + h * np.abs(new).sum(axis=0)
         if level == 1:
-            # a feature narrower than 0.5 in tau meets one node at h = 0.5,
-            # and the sums at h = 0.5 and 0.25 can then agree by chance
+            # a feature narrower than the first step meets one node there,
+            # and the sums at the first two steps can then agree by chance
             continue
         change = _max_abs(total - prev)
         if change <= max(tol, _ROUNDING * _max_abs(total)):

@@ -31,7 +31,11 @@ Every s-integral against d^k g/dt^k runs against T_s - T_inf, where T_inf f
 is the gamma-mean of f: the integrand then decays like e^{-s} instead of
 s^{-3/2}, and is 0 to float64 rounding once e^{-s} x is (s ~ 40).
 T_inf comes back in closed form, since ∫ g ds = 1 and ∫ d^k g/dt^k ds = 0
-for k >= 1.
+for k >= 1.  The integral runs in u = log s (``integrate_halfline(rapid=True)``):
+e^{-t^2/4s} and e^{-s} vanish double-exponentially in u at both ends, so the
+trapezoid rule in u needs no further map, and it keeps the integrand's full
+strip of analyticity |Im u| < pi/2 where the mass sits (s ~ t^2), which the
+exp-sinh map would narrow at small t and high chaos levels.
 
 The kernel route applies P_t (and its t-derivatives) as one
 s-integral per call whose payload is the batch of values at the x-points:
@@ -97,17 +101,6 @@ class SemigroupQuery:
             raise ValueError("t = 0 is only allowed for the spectral identity")
 
 
-@dataclass(frozen=True)
-class StableMeasureParams:
-    """Parameter of the one-sided stable measure of order 1/2."""
-
-    t: float
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("time t must be positive")
-
-
 class KernelL1(NamedTuple):
     value: float
     tail_bound: float
@@ -153,12 +146,14 @@ def mehler_kernel(t: float, x, y, d: int = 1):
     return out
 
 
-def stable_density(params: StableMeasureParams, s):
-    """Density g(t, s) of the one-sided stable measure of order 1/2."""
+def stable_density(t: float, s):
+    """Density g(t, s) of the one-sided stable measure of order 1/2, t > 0."""
+    if t <= 0:
+        raise ValueError("time t must be positive")
     arr = np.asarray(s, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("the stable density lives on s > 0")
-    out = _stable_weight_factor(params.t, arr, 0)
+    out = _stable_weight_factor(t, arr, 0)
     if out.shape == ():
         return float(out)
     return out
@@ -198,22 +193,34 @@ def _check_kernel_order(k: int) -> None:
 # T_s by Mehler's formula
 # ----------------------------------------------------------------------------
 
+# f-values per s-node in one block of ``_mehler_gauss_hermite``: 256 points
+# on the 64-node rule at d = 1, 4 at d = 2 (one at d = 3, which has more);
+# keeps its (S, block, m^d) node and value arrays near 1 MB for the
+# half-line rule's 8 s-nodes per call
+_GH_BLOCK_VALUES = 16384
+
+
 def _mehler_gauss_hermite(f, s: np.ndarray, pts: np.ndarray, nodes) -> np.ndarray:
     """T_s f at the points for each s, shape (S, X), by Mehler's formula
 
         T_s f(x) = ∫ f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y)
 
     on the tensor Gauss-Hermite rule ``nodes`` (points (m^d, d), weights).
-    ``f`` is evaluated once, on all S * X * m^d points.
+    ``f`` is evaluated once per block of points, on all S * block * m^d
+    points of the block.
     """
     U, wu = nodes
     X, d = pts.shape
-    r = np.exp(-s)
-    sig = np.sqrt(-np.expm1(-2.0 * s))
-    z = (r[:, None, None, None] * pts[None, :, None, :]
-         + sig[:, None, None, None] * U[None, None, :, :])
-    fv = eval_batch(f, z.reshape(-1, d)).reshape(s.shape[0], X, U.shape[0])
-    return (fv @ wu) / math.pi ** (d / 2.0)
+    r = np.exp(-s)[:, None, None, None]
+    sig = np.sqrt(-np.expm1(-2.0 * s))[:, None, None, None]
+    block = max(1, _GH_BLOCK_VALUES // U.shape[0])
+    out = np.empty((s.shape[0], X))
+    for lo in range(0, X, block):
+        xb = pts[lo:lo + block]
+        z = r * xb[None, :, None, :] + sig * U[None, None, :, :]
+        fv = eval_batch(f, z.reshape(-1, d)).reshape(s.shape[0], xb.shape[0], U.shape[0])
+        out[:, lo:lo + block] = fv @ wu
+    return out / math.pi ** (d / 2.0)
 
 
 # ----------------------------------------------------------------------------
@@ -224,8 +231,8 @@ def _subordinate(t: float, k: int, semigroup, tol: float) -> np.ndarray:
     """∫ d^k/dt^k g(t, s) T_s ds for ``semigroup``: s (S,) -> T_s values
     (S, ...), which must also take s = inf.
 
-    Integrates d^k g (T_s - T_inf) and adds T_inf back for k = 0: the
-    integrand decays like e^{-s} and reads 0 past s ~ 40.
+    Integrates d^k g (T_s - T_inf) in u = log s and adds T_inf back for
+    k = 0: the integrand decays like e^{-s} and reads 0 past s ~ 40.
     """
     limit = semigroup(np.array([np.inf]))[0]
 
@@ -236,7 +243,7 @@ def _subordinate(t: float, k: int, semigroup, tol: float) -> np.ndarray:
         v *= _stable_weight_factor(t, sv, k).reshape((-1,) + (1,) * limit.ndim)
         return v.reshape(np.shape(s) + limit.shape)
 
-    vals = np.asarray(integrate_halfline(integrand, tol=tol))
+    vals = np.asarray(integrate_halfline(integrand, tol=tol, rapid=True))
     return vals + limit if k == 0 else vals
 
 

@@ -172,10 +172,11 @@ class TestHalfline:
             assert abs(got - c) <= 1e-14 * c
 
     def test_divergent_integrand_raises_with_estimate(self):
-        with pytest.raises(ConvergenceError) as err:
-            integrate_halfline(lambda s: 1.0 / (1.0 + s), 1e-8)
-        assert err.value.estimate is not None
-        assert err.value.error_bound == math.inf
+        for rapid in (False, True):
+            with pytest.raises(ConvergenceError, match="not negligible at") as err:
+                integrate_halfline(lambda s: 1.0 / (1.0 + s), 1e-8, rapid=rapid)
+            assert err.value.estimate is not None
+            assert err.value.error_bound == math.inf
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(EvaluationError):

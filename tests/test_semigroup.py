@@ -9,7 +9,6 @@ from gausslip.hermite import HermiteExpansion, eval_expansion, hermite_eval, pro
 from gausslip.quadrature import gauss_legendre_panels, integrate_halfline
 from gausslip.semigroup import (
     SemigroupQuery,
-    StableMeasureParams,
     derivative_weight_mass,
     kernel_derivative_l1,
     mehler_kernel,
@@ -107,17 +106,16 @@ class TestOUApply:
 
 class TestStableDensity:
     def test_mass_one(self):
-        got = integrate_halfline(lambda s: stable_density(StableMeasureParams(1.0), s), 1e-9)
+        got = integrate_halfline(lambda s: stable_density(1.0, s), 1e-9)
         assert got == pytest.approx(1.0, abs=1e-8)
 
     def test_argmax_by_ternary_search(self):
         # stationarity of log g: t^2/(4 s^2) = 3/(2 s), so s* = t^2/6
-        p = StableMeasureParams(1.0)
         lo, hi = 0.05, 0.6
         for _ in range(80):
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
-            if stable_density(p, m1) < stable_density(p, m2):
+            if stable_density(1.0, m1) < stable_density(1.0, m2):
                 lo = m1
             else:
                 hi = m2
@@ -126,15 +124,15 @@ class TestStableDensity:
     def test_scaling_identity(self):
         # g(ct, c^2 s) = g(t, s) / c^2 with c = 2
         s = np.array([0.11, 0.5, 2.0])
-        got = 4.0 * stable_density(StableMeasureParams(2.0), 4.0 * s)
-        want = stable_density(StableMeasureParams(1.0), s)
+        got = 4.0 * stable_density(2.0, 4.0 * s)
+        want = stable_density(1.0, s)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            stable_density(StableMeasureParams(1.0), 0.0)
+            stable_density(1.0, 0.0)
         with pytest.raises(ValueError):
-            StableMeasureParams(0.0)
+            stable_density(0.0, 1.0)
 
 
 def _panel_integral_1d(f, lo, hi, width):
@@ -222,11 +220,25 @@ class TestPHApply:
     @pytest.mark.parametrize("t", [1e-4, 1.0])
     def test_subordination_multiplier_at_a_high_level(self, t):
         # e^{-400 s} g(t, s) is negligible near s = 1 and peaks at
-        # s = t/40 (tau ~ -2.8 and -1.6); at t = 1 one node of the step 0.5
-        # meets the peak
+        # s = t/40 (log s ~ -12.9 and -3.7)
         semigroup._subordination_multiplier.cache_clear()
         got = semigroup._subordination_multiplier(t, 400, 1e-9)
         assert abs(got - math.exp(-20.0 * t)) <= 1e-9
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_subordination_on_high_chaos_levels(self, tol):
+        # e^{-ns} g(t, s) peaks at s ~ t / 2 sqrt(n): for large n a narrow
+        # peak far from s = 1, which the exp-sinh map narrowed further
+        # (t = 0.1, n = 10000 gave 0 for e^{-10})
+        wrong = []
+        for t in (1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.7, 1.0, 3.0, 10.0, 30.0):
+            for n in (0, 1, 2, 5, 10, 30, 100, 400, 1024, 3000, 10000, 20000, 40000):
+                e = HermiteExpansion(1, n, {(n,): 1.0})
+                got = ph_apply(e, SemigroupQuery(t, "subordination"), tol=tol).coefficient((n,))
+                want = ph_apply(e, SemigroupQuery(t, "spectral")).coefficient((n,))
+                if not abs(got - want) <= tol:
+                    wrong.append((t, n, got, want))
+        assert wrong == []
 
     def test_subordination_derivative_unsupported(self):
         e = HermiteExpansion(1, 1, {(1,): 1.0})
@@ -346,7 +358,8 @@ class TestPHApply:
     @pytest.mark.parametrize("method", ["kernel", "subordination"])
     def test_s_nodes_per_apply(self, method, monkeypatch):
         # against T_s - T_inf the integrand is 0 past s ~ 40, so the rule
-        # truncates near tau = 1.5 on that side; 8 s-nodes at most per call
+        # truncates near u = log s = 3.7 on that side; in log s the mass near
+        # s ~ t^2 needs no finer step at small t; 8 s-nodes at most per call
         nodes = []
         weight = semigroup._stable_weight_factor
 
@@ -355,10 +368,12 @@ class TestPHApply:
             return weight(t, s, k)
 
         monkeypatch.setattr(semigroup, "_stable_weight_factor", counted)
-        op = ph_apply(lambda p: np.cos(p[:, 0]), SemigroupQuery(0.45, method), d=1, tol=1e-8)
-        op(np.linspace(-2.5, 2.5, 11)[:, None])
-        assert sum(nodes) <= 150
-        assert max(nodes) <= 8
+        for t, bound in ((0.05, 80), (0.45, 110)):
+            nodes.clear()
+            op = ph_apply(lambda p: np.cos(p[:, 0]), SemigroupQuery(t, method), d=1, tol=1e-8)
+            op(np.linspace(-2.5, 2.5, 11)[:, None])
+            assert sum(nodes) <= bound
+            assert max(nodes) <= 8
 
     @pytest.mark.parametrize("inner_method, tol, xs", [
         ("subordination", 1e-8, [-1.0, 0.0, 0.8]),
@@ -501,26 +516,31 @@ class TestKernelDerivativeL1:
         zeros of d^3 g, where the trapezoid rule converges only like h^2: no
         level reaches float64 rounding of the mass before the halving cap.
 
-        Worst case of one call: the first level walks |tau| <= 6.5 at step
-        0.5 (27 nodes), and each of the 8 halvings adds the midpoints of the
-        last level, 26 * 2^(l-1) at halving l: 26 * 2^8 + 1 = 6657 nodes.
+        Worst case of one call: the first level walks |u| <= cap at the first
+        step h (2 cap / h + 1 nodes), and each of the 8 halvings adds the
+        midpoints of the last level, (2 cap / h) 2^(l-1) at halving l:
+        (2 cap / h) 2^8 + 1 nodes.  That is 26 * 2^8 + 1 = 6657 in tau
+        (cap 6.5, h = 0.5) and 1044 * 2^8 + 1 = 267265 in log s (cap 522,
+        h = 1).
         """
-        nodes = []
+        for rapid, cap, step, bound in (
+                (False, quadrature._DE_TAU_CAP, quadrature._DE_STEP, 6657),
+                (True, quadrature._LOG_U_CAP, quadrature._LOG_STEP, 267265)):
+            nodes = []
 
-        def mass(s):
-            nodes.append(np.size(s))
-            return np.abs(semigroup._stable_weight_factor(1e-3, s, 3))
+            def mass(s):
+                nodes.append(np.size(s))
+                return np.abs(semigroup._stable_weight_factor(1e-3, s, 3))
 
-        with pytest.raises(ConvergenceError) as err:
-            integrate_halfline(mass, tol=1e-10)
-        assert err.value.estimate > 0.0
-        # the levels never agreed, so no finite bound is claimed
-        assert err.value.error_bound >= abs(err.value.estimate - derivative_weight_mass(1e-3, 3))
-        bound = round(2 * quadrature._DE_TAU_CAP / quadrature._DE_STEP) \
-            * 2 ** quadrature._DE_HALVINGS + 1
-        assert bound == 6657
-        assert sum(nodes) <= bound
-        assert max(nodes) <= 8
+            with pytest.raises(ConvergenceError) as err:
+                integrate_halfline(mass, tol=1e-10, rapid=rapid)
+            assert err.value.estimate > 0.0
+            # the levels never agreed, so no finite bound is claimed
+            assert err.value.error_bound >= abs(
+                err.value.estimate - derivative_weight_mass(1e-3, 3))
+            assert round(2 * cap / step) * 2 ** quadrature._DE_HALVINGS + 1 == bound
+            assert sum(nodes) <= bound
+            assert max(nodes) <= 8
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
