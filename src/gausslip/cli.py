@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
+from .fractional import REPRESENTATIONS
 from .report import write_report
 from .suites import SUITES, SuiteConfig, run_suite
 
@@ -20,38 +22,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", action="append", dest="functions", metavar="NAME",
                    help="catalog function (repeatable), e.g. cos:1, const:2.5, "
                         "hermite:3, expansion:/path.json")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--kind", default="bessel_potential")
-    p.add_argument("--representation", default="spectral",
-                   choices=("spectral", "integral"))
-    p.add_argument("--t-min", type=float, default=0.0125)
-    p.add_argument("--t-max", type=float, default=4.0)
-    p.add_argument("--t-count", type=int, default=16)
-    p.add_argument("--x-radius", type=float, default=3.0)
-    p.add_argument("--x-count", type=int, default=121)
-    p.add_argument("--degree-cap", type=int, default=40)
-    p.add_argument("--nodes", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-6)
+    defaults = SuiteConfig()
+    for field in fields(SuiteConfig)[1:]:  # functions is --f
+        default = getattr(defaults, field.name)
+        p.add_argument("--" + field.name.replace("_", "-"), type=type(default), default=default,
+                       choices=REPRESENTATIONS if field.name == "representation" else None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", metavar="PATH", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quiet", action="store_true", help="print only the summary")
     return p
 
 
 def config_from_args(args) -> SuiteConfig:
-    kwargs = dict(
-        alpha=args.alpha, beta=args.beta,
-        kind=args.kind, representation=args.representation,
-        t_min=args.t_min, t_max=args.t_max, t_count=args.t_count,
-        x_radius=args.x_radius, x_count=args.x_count,
-        degree_cap=args.degree_cap, nodes=args.nodes,
-        tol=args.tol, seed=args.seed,
-    )
-    if args.functions:
-        kwargs["functions"] = tuple(args.functions)
-    return SuiteConfig(**kwargs)
+    values = {field.name: getattr(args, field.name) for field in fields(SuiteConfig)}
+    values["functions"] = tuple(args.functions or SuiteConfig.functions)
+    return SuiteConfig(**values)
 
 
 def main(argv=None) -> int:

@@ -51,8 +51,8 @@ class FractionalSpec:
             raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {KINDS}")
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"unknown representation {self.representation!r}")
-        if self.beta <= 0:
-            raise ValueError("order beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("order beta must be finite and positive")
 
     @property
     def k(self) -> int:

@@ -180,41 +180,23 @@ def integrate_gaussian(f, d: int, rule: QuadratureRule | None = None) -> float:
 # ----------------------------------------------------------------------------
 
 def gauss_legendre_panels(breakpoints) -> tuple[np.ndarray, np.ndarray]:
-    """15-point Gauss-Legendre nodes/weights on each panel of a partition."""
-    b = np.asarray(breakpoints, dtype=float)
-    if b.ndim != 1 or b.size < 2 or np.any(np.diff(b) <= 0):
-        raise ValueError("breakpoints must be strictly increasing with >= 2 entries")
-    half = 0.5 * np.diff(b)
-    mid = 0.5 * (b[:-1] + b[1:])
-    nodes = (mid[:, None] + half[:, None] * _GL15_X).ravel()
-    weights = (half[:, None] * _GL15_W).ravel()
-    return nodes, weights
+    """15-point Gauss-Legendre nodes/weights on each panel of a partition.
 
-
-def graded_breaks(lo: float, hi: float, center: float, inner: float,
-                  growth: float = 1.5, max_width: float = 1.0) -> np.ndarray:
-    """Panel breakpoints on [lo, hi] graded geometrically away from ``center``.
-
-    Panel widths start at ``inner`` next to the center and grow by ``growth``
-    up to ``max_width``; used for kernels with a near-singular spike.
+    ``breakpoints`` is one partition (P + 1,) or one per row (X, P + 1); the
+    nodes and weights have shape (15 P,) or (X, 15 P).  A zero-width panel,
+    as at the end of a row padded with repeats of its last breakpoint, gets
+    15 nodes there with weight 0.
     """
-    if not lo <= center <= hi:
-        center = min(max(center, lo), hi)
-    pts = [center]
-    w = inner
-    x = center
-    while x < hi:
-        x = min(x + w, hi)
-        pts.append(x)
-        w = min(w * growth, max_width)
-    w = inner
-    x = center
-    left = []
-    while x > lo:
-        x = max(x - w, lo)
-        left.append(x)
-        w = min(w * growth, max_width)
-    return np.asarray(left[::-1] + pts)
+    b = np.asarray(breakpoints, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[-1] < 2 or not (
+            (np.diff(b) >= 0).all() and (b[..., -1] > b[..., 0]).all()):
+        raise ValueError("each partition must be non-decreasing with >= 2 breakpoints "
+                         "and positive length")
+    half = 0.5 * np.diff(b)
+    mid = 0.5 * (b[..., :-1] + b[..., 1:])
+    nodes = (mid[..., None] + half[..., None] * _GL15_X).reshape(b.shape[:-1] + (-1,))
+    weights = (half[..., None] * _GL15_W).reshape(nodes.shape)
+    return nodes, weights
 
 
 # ----------------------------------------------------------------------------

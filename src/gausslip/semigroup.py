@@ -40,11 +40,13 @@ exp-sinh map would narrow at small t and high chaos levels.
 The kernel route applies P_t (and its t-derivatives) as one
 s-integral per call whose payload is the batch of values at the x-points:
 by Fubini the y-quadrature runs inside the s-integrand, so the error control
-acts on d^k/dt^k P_t f(x) itself.  f is evaluated once per call, and at each
-s-node the Mehler kernel, a product of 1-d kernels, is applied to f on the
-tensor y-grid one axis at a time.  The pointwise kernels ``ph_kernel`` /
-``ph_kernel_time_derivative`` and the L^1 routine keep the s-integral inside,
-since |p| is needed pointwise there.
+acts on d^k/dt^k P_t f(x) itself.  The batch's graded y-grids are built
+together, one array per axis with a row per point whose end carries zero
+weights; f is evaluated once per call, at the nodes of nonzero weight only,
+and at each s-node the Mehler kernel, a product of 1-d kernels, is applied to
+f on the tensor y-grids one axis at a time.  The pointwise kernels
+``ph_kernel`` / ``ph_kernel_time_derivative`` and the L^1 routine keep the
+s-integral inside, since |p| is needed pointwise there.
 
 Pointwise callables follow the batch contract of ``quadrature.eval_batch``:
 point batches of shape (n, d) in, shape (n,) out.
@@ -63,9 +65,7 @@ from .quadrature import (
     default_rule,
     eval_batch,
     gauss_legendre_panels,
-    graded_breaks,
     integrate_halfline,
-    tensor_grid,
     tensor_nodes,
 )
 
@@ -95,8 +95,8 @@ class SemigroupQuery:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.derivative_order < 0:
             raise ValueError("derivative_order must be >= 0")
-        if self.t < 0:
-            raise ValueError("time t must be >= 0")
+        if not 0 <= self.t < math.inf:
+            raise ValueError("time t must be finite and >= 0")
         if self.t == 0 and (self.method != "spectral" or self.derivative_order > 0):
             raise ValueError("t = 0 is only allowed for the spectral identity")
 
@@ -136,8 +136,8 @@ def mehler_kernel(t: float, x, y, d: int = 1):
     ``x`` and ``y`` broadcast as point batches; returns the batch of kernel
     values (float for a single pair).
     """
-    if t <= 0:
-        raise ValueError("time t must be positive for the kernel representation")
+    if not 0 < t < math.inf:
+        raise ValueError("time t must be positive and finite for the kernel representation")
     X = as_points(x, d)
     Y = as_points(y, d)
     out = _mehler_from_s(t, X, Y, d)
@@ -148,8 +148,8 @@ def mehler_kernel(t: float, x, y, d: int = 1):
 
 def stable_density(t: float, s):
     """Density g(t, s) of the one-sided stable measure of order 1/2, t > 0."""
-    if t <= 0:
-        raise ValueError("time t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("time t must be positive and finite")
     arr = np.asarray(s, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("the stable density lives on s > 0")
@@ -256,9 +256,36 @@ def _min_sigma(t: float) -> float:
     return math.sqrt(0.5 * -math.expm1(-2.0 * s_min))
 
 
-def _ph_axis_panels(t: float, center: float, lo: float, hi: float):
-    # graded down to half the spike width at the smallest contributing s
-    return gauss_legendre_panels(graded_breaks(lo, hi, center, 0.5 * _min_sigma(t)))
+def _check_finite_points(pts: np.ndarray) -> None:
+    if not np.isfinite(pts).all():
+        raise ValueError("kernel-route points must be finite")
+
+
+def _graded_panels(t: float, c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Legendre nodes and weights (X, N) on [lo_i, hi_i], graded toward
+    c_i, one row per point on one axis.
+
+    Panel widths start at half the spike width at the smallest contributing
+    s, grow by 1.5 up to 1 away from c_i and are the same in every row: the
+    breakpoints are c_i plus or minus their running sums, clipped at lo_i and
+    hi_i.  Each row's panels come first; shorter rows end in zero-width
+    panels at hi_i.
+    """
+    _check_finite_points(c)
+    inner = 0.5 * _min_sigma(t)
+    ramp = np.multiply.accumulate(np.r_[inner, np.full(math.ceil(-math.log(inner, 1.5)), 1.5)])
+    span = float(np.max(np.maximum(hi - c, c - lo)))
+    widths = np.r_[np.minimum(ramp, 1.0), np.ones(math.ceil(span))]
+    steps = np.broadcast_to(widths, (c.size, widths.size))
+    right = np.minimum(np.cumsum(np.c_[c, steps], axis=1), hi[:, None])
+    left = np.maximum(np.cumsum(np.c_[c, -steps], axis=1), lo[:, None])
+    breaks = np.c_[left[:, :0:-1], right]
+    # drop each row's leading repeats of lo_i; trailing ones of hi_i pad it
+    at_lo = np.count_nonzero(breaks == lo[:, None], axis=1)
+    at_hi = np.count_nonzero(breaks == hi[:, None], axis=1)
+    count = breaks.shape[1] + 2 - at_lo - at_hi
+    cols = np.minimum(at_lo[:, None] - 1 + np.arange(count.max()), breaks.shape[1] - 1)
+    return gauss_legendre_panels(np.take_along_axis(breaks, cols, axis=1))
 
 
 def _ph_graded_grids(t: float, pts: np.ndarray, func):
@@ -266,25 +293,25 @@ def _ph_graded_grids(t: float, pts: np.ndarray, func):
     takes them.
 
     Point i gets the tensor grid of its per-axis panels graded toward x_i,
-    on [min(0, x_ia), max(0, x_ia)] widened by ``_Y_MARGIN``; the axes are
-    padded to a common length with zero weights.  ``func`` is evaluated once,
-    on all the grids together.
+    on [min(0, x_ia), max(0, x_ia)] widened by ``_Y_MARGIN``; each axis is
+    one (X, N_a) array whose rows end in zero weights.  ``func`` is evaluated
+    once, on the nodes of nonzero weight, point by point in row-major order;
+    F is 0 elsewhere.
     """
     X, d = pts.shape
-    panels = [[_ph_axis_panels(t, c, min(0.0, c) - _Y_MARGIN, max(0.0, c) + _Y_MARGIN)
-               for c in map(float, p)] for p in pts]
-    grids = [tensor_grid(p)[0] for p in panels]
-    vals = np.split(eval_batch(func, np.concatenate(grids)),
-                    np.cumsum([len(g) for g in grids])[:-1])
-    sizes = tuple(max(len(p[a][0]) for p in panels) for a in range(d))
-    axes = [(np.zeros((X, n)), np.zeros((X, n))) for n in sizes]
-    F = np.zeros((X,) + sizes)
-    for i, (p, v) in enumerate(zip(panels, vals)):
-        shape = tuple(len(y) for y, _ in p)
-        F[(i,) + tuple(slice(n) for n in shape)] = v.reshape(shape)
-        for (ya, wa), (y, w) in zip(axes, p):
-            ya[i, :len(y)] = y
-            wa[i, :len(w)] = w
+    axes = [_graded_panels(t, c, np.minimum(c, 0.0) - _Y_MARGIN, np.maximum(c, 0.0) + _Y_MARGIN)
+            for c in pts.T]
+    shape = (X,) + tuple(y.shape[1] for y, _ in axes)
+
+    def along(v, a):
+        return v.reshape((X,) + (1,) * a + (-1,) + (1,) * (d - 1 - a))
+
+    used = np.ones(shape, dtype=bool)
+    for a, (_, w) in enumerate(axes):
+        used &= along(w, a) > 0
+    F = np.zeros(shape)
+    F[used] = eval_batch(func, np.stack([np.broadcast_to(along(y, a), shape)[used]
+                                         for a, (y, _) in enumerate(axes)], axis=-1))
     return axes, F
 
 
@@ -378,10 +405,12 @@ def _point_batches(x, y, d: int):
 
 def _ph_kernel_values(t: float, x, y, d: int, k: int, tol: float):
     """d^k/dt^k p(t, x, y) on broadcast point batches (k = 0: the kernel)."""
-    if t <= 0:
-        raise ValueError("time t must be positive for the kernel representation")
+    if not 0 < t < math.inf:
+        raise ValueError("time t must be positive and finite for the kernel representation")
     _check_kernel_order(k)
     Xb, Yb, batch, single = _point_batches(x, y, d)
+    _check_finite_points(Xb)
+    _check_finite_points(Yb)
 
     # Group by x-point so each s-integral carries the whole y-batch.
     out = np.empty(Xb.shape[0])
@@ -497,8 +526,8 @@ def derivative_weight_mass(t: float, k: int) -> float:
     C_1 = 4/sqrt(2 pi e) <= 2, C_2 = 1.8501639576452313 and
     C_3 = 6.1445366794509875, in closed form (``_weight_mass_constant``).
     """
-    if t <= 0:
-        raise ValueError("time t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("time t must be positive and finite")
     if not 1 <= k <= 3:
         raise ValueError("derivative weight mass supports 1 <= k <= 3")
     return _weight_mass_constant(k) / t ** k
@@ -512,13 +541,13 @@ def kernel_derivative_l1(t: float, x: float, k: int, tol: float = 1e-8) -> Kerne
     ∫_{|y|>R} mehler(s, x, y) dy <= erfc(R - |x|) uniformly in s, times the
     total |.|-mass of the k-th derivative of the subordination weight.
     """
-    if t <= 0:
-        raise ValueError("time t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("time t must be positive and finite")
     if not 1 <= k <= 3:
         raise ValueError("kernel_derivative_l1 supports 1 <= k <= 3")
     x = float(x)
     R = _Y_MARGIN + 2.0 * abs(x)
-    y, wy = _ph_axis_panels(t, x, -R, R)
+    (y,), (wy,) = _graded_panels(t, np.array([x]), np.array([-R]), np.array([R]))
     vals = _ph_kernel_payload(t, np.array([x]), y[:, None], 1, k, tol)
     value = float(np.dot(wy, np.abs(vals)))
     tail = derivative_weight_mass(t, k) * math.erfc(R - abs(x))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gausslip.catalog import DEFAULT_SUITE, catalog_function
-from gausslip.cli import main
+from gausslip.cli import build_parser, config_from_args, main
 from gausslip.errors import CatalogError
 from gausslip.hermite import HermiteExpansion, save_expansion
 from gausslip.report import (
@@ -248,6 +248,11 @@ class TestRunSuite:
 
 
 class TestCLI:
+    def test_defaults_are_the_suite_config(self):
+        assert config_from_args(build_parser().parse_args([])) == SuiteConfig()
+        args = build_parser().parse_args(["--f", "cos:1", "--t-count", "3"])
+        assert config_from_args(args) == SuiteConfig(functions=("cos:1",), t_count=3)
+
     def test_exit_zero_and_report_file(self, tmp_path, capsys):
         out = tmp_path / "fd.json"
         code = main(["--suite", "forward-diff", "--out", str(out), "--quiet"])

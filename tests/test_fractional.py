@@ -38,6 +38,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             FractionalSpec("riesz_derivative", -0.5)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_order(self, beta):
+        # a nan order made apply_fractional return nan coefficients
+        with pytest.raises(ValueError, match="finite"):
+            FractionalSpec("bessel_potential", beta)
+
 
 class TestCBetaConstant:
     def test_half_matches_reflection_value(self):

@@ -7,7 +7,6 @@ from gausslip.errors import ConvergenceError, EvaluationError
 from gausslip.quadrature import (
     QuadratureRule,
     gauss_hermite_rule,
-    graded_breaks,
     gauss_legendre_panels,
     integrate_gaussian,
     integrate_halfline,
@@ -210,12 +209,21 @@ class TestHalfline:
 
 
 class TestPanels:
-    def test_graded_breaks_refine_near_center(self):
-        b = graded_breaks(-8.0, 8.0, 1.0, 0.01)
-        widths = np.diff(b)
-        i = np.searchsorted(b, 1.0)
-        assert widths[max(i - 1, 0)] <= 0.011
-        assert np.max(widths) <= 1.0 + 1e-12
+    def test_one_partition_per_row(self):
+        rows = np.array([[-1.0, 0.0, 0.5, 2.0], [0.0, 0.25, 1.0, 1.0]])
+        nodes, w = gauss_legendre_panels(rows)
+        assert nodes.shape == w.shape == (2, 45)
+        one, w_one = gauss_legendre_panels(rows[0])
+        assert np.array_equal(nodes[0], one) and np.array_equal(w[0], w_one)
+        # the zero-width panel at the row end: nodes at 1.0, weight 0
+        assert np.all(nodes[1, 30:] == 1.0) and np.all(w[1, 30:] == 0.0)
+        assert w.sum(axis=1) == pytest.approx([3.0, 1.0], rel=1e-14)
+
+    @pytest.mark.parametrize("breaks", [[1.0], [0.0, 1.0, 0.5], [0.0, math.nan, 1.0],
+                                        [2.0, 2.0], [[0.0, 1.0], [1.0, 1.0]]])
+    def test_rejects_bad_partitions(self, breaks):
+        with pytest.raises(ValueError, match="partition"):
+            gauss_legendre_panels(breaks)
 
     def test_panel_rule_integrates_smooth_function(self):
         nodes, w = gauss_legendre_panels(np.linspace(-6.0, 6.0, 25))

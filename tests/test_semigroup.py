@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausslip import quadrature, semigroup
 from gausslip.errors import ConvergenceError
@@ -35,6 +37,13 @@ class TestQueryValidation:
             SemigroupQuery(-0.5, "spectral")
         with pytest.raises(ValueError):
             SemigroupQuery(1.0, "fourier")
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    @pytest.mark.parametrize("method", ["spectral", "kernel"])
+    def test_non_finite_time(self, t, method):
+        # spectral at t = inf made the mean coefficient exp(-0 inf) = nan
+        with pytest.raises(ValueError, match="finite"):
+            SemigroupQuery(t, method)
 
 
 class TestMehlerKernel:
@@ -168,6 +177,13 @@ class TestPHKernel:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             ph_kernel(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("x, y", [(math.inf, 0.0), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_rejects_non_finite_points(self, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            ph_kernel(0.5, x, y)
+        with pytest.raises(ValueError, match="finite"):
+            ph_kernel_time_derivative(0.5, x, y, 1)
 
     @staticmethod
     def _series_oracle_2d(t, x, y, nmax=1400):
@@ -398,6 +414,33 @@ class TestPHApply:
         want = (-math.sqrt(2.0)) ** k * math.exp(-math.sqrt(2.0) * t) * hermite_eval((2,), x)
         assert np.max(np.abs(op(x) - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_kernel_rejects_non_finite_points(self, x):
+        op = ph_apply(lambda p: p[:, 0], SemigroupQuery(0.5, "kernel"), d=1)
+        with pytest.raises(ValueError, match="finite"):
+            op(np.array([[0.5], [x]]))
+        with pytest.raises(ValueError, match="finite"):
+            kernel_derivative_l1(0.5, x, 1)
+
+    def test_kernel_evaluates_f_once_on_the_used_nodes(self):
+        # one call, at the nonzero-weight nodes of every point's tensor grid,
+        # point by point, each grid in row-major order
+        t, x = 0.3, np.array([[0.5, -0.25], [-9.0, 0.0], [2.0, 3.0]])
+        calls = []
+
+        def spy(p):
+            calls.append(p.copy())
+            return np.cos(p[:, 0]) * p[:, 1]
+
+        ph_apply(spy, SemigroupQuery(t, "kernel"), d=2)(x)
+        want = []
+        for c in x:
+            axes = [_one_point_panels(t, ca) for ca in c]
+            grid = np.meshgrid(*(y[w > 0] for y, w in axes), indexing="ij")
+            want.append(np.stack([g.ravel() for g in grid], axis=-1))
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.concatenate(want))
+
     def test_kernel_derivative_order_cap(self):
         with pytest.raises(NotImplementedError):
             ph_apply(lambda p: p[:, 0], SemigroupQuery(0.5, "kernel", 4), d=1)
@@ -424,6 +467,65 @@ class TestPHApply:
         # long-time limit is the gamma-mean of f
         far = eval_expansion(ph_apply(e, SemigroupQuery(20.0, "spectral")), xs[:, None])
         assert np.max(np.abs(far - math.exp(-0.25))) <= 1e-4
+
+
+def _one_point_panels(t, c):
+    """Nodes and weights of one point's graded axis, as the kernel route spans it."""
+    c = np.array([c])
+    y, w = semigroup._graded_panels(t, c, np.minimum(c, 0.0) - 8.0, np.maximum(c, 0.0) + 8.0)
+    return y[0], w[0]
+
+
+def _graded_breaks_loop(lo, hi, c, inner):
+    """Reference: the breakpoints one width at a time, outward from c."""
+    sides = []
+    for end, sign in ((lo, -1.0), (hi, 1.0)):
+        x, w, side = c, inner, []
+        while x != end:
+            x = min(max(x + sign * w, lo), hi)
+            side.append(x)
+            w = min(w * 1.5, 1.0)
+        sides.append(side)
+    return np.array(sides[0][::-1] + [c] + sides[1])
+
+
+class TestGradedPanels:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+           st.floats(1e-3, 5.0))
+    def test_batch_rows_match_single_points(self, xs, t):
+        pts = np.array(xs)[:, None]
+        axes, F = semigroup._ph_graded_grids(t, pts, lambda p: 1.0 + p[:, 0])
+        (y, w), = axes
+        inner = 0.5 * semigroup._min_sigma(t)
+        for i, c in enumerate(xs):
+            y1, w1 = _one_point_panels(t, c)
+            y0, w0 = gauss_legendre_panels(
+                _graded_breaks_loop(min(c, 0.0) - 8.0, max(c, 0.0) + 8.0, c, inner))
+            assert np.array_equal(y1, y0) and np.array_equal(w1, w0)
+            used = w[i] > 0
+            assert np.array_equal(y[i, used], y1) and np.array_equal(w[i, used], w1)
+            assert np.array_equal(F[i, used], 1.0 + y1)
+            assert not F[i, ~used].any()
+
+    @pytest.mark.parametrize("t", [1e-4, 0.05, 1.0, 20.0])
+    def test_rows_are_graded_partitions_of_their_spans(self, t):
+        c = np.array([0.0, 0.3, -9.0, 9.0, 4.5])
+        lo, hi = np.minimum(c, 0.0) - 8.0, np.maximum(c, 0.0) + 8.0
+        y, w = semigroup._graded_panels(t, c, lo, hi)
+        inner = 0.5 * semigroup._min_sigma(t)
+        assert w.sum(axis=1) == pytest.approx(hi - lo, rel=1e-13)
+        for i in range(c.size):
+            used = w[i] > 0
+            # the zero weights pad the row end
+            assert used[:used.sum()].all()
+            widths = w[i, used].reshape(-1, 15).sum(axis=1)
+            breaks = lo[i] + np.r_[0.0, np.cumsum(widths)]
+            j = int(np.argmin(np.abs(breaks - c[i])))
+            assert breaks[j] == pytest.approx(c[i], abs=1e-12)
+            assert widths[j - 1] == pytest.approx(inner, rel=1e-9)
+            assert widths[j] == pytest.approx(inner, rel=1e-9)
+            assert widths.max() <= 1.0 + 1e-12
 
 
 class TestKernelTimeDerivative:
@@ -471,6 +573,15 @@ class TestKernelTimeDerivative:
 
 
 class TestKernelDerivativeL1:
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time(self, t):
+        # t = inf gave stable_density nan and blamed the kernel's callable
+        for call in (lambda: kernel_derivative_l1(t, 0.0, 1), lambda: ph_kernel(t, 0.0, 0.0),
+                     lambda: stable_density(t, 1.0), lambda: derivative_weight_mass(t, 1),
+                     lambda: mehler_kernel(t, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
     def test_first_order_bound(self):
         for t in (0.1, 0.5, 1.0, 2.0):
             res = kernel_derivative_l1(t, 0.0, 1)
