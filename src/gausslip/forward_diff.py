@@ -40,10 +40,10 @@ class ForwardDifferenceQuery:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("difference order k must be >= 1")
-        if self.s <= 0:
-            raise ValueError("increment s must be positive")
-        if self.t < 0:
-            raise ValueError("base point t must be >= 0")
+        if not 0 < self.s < math.inf:
+            raise ValueError("increment s must be finite and positive")
+        if not 0 <= self.t < math.inf:
+            raise ValueError("base point t must be finite and >= 0")
 
 
 def forward_difference(f, query: ForwardDifferenceQuery) -> float:

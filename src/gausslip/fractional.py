@@ -6,10 +6,15 @@ citizens:
 * ``spectral``: multiplier action on chaos level n,
     bessel_potential  (1+n)^{-beta/2}     riesz_potential  n^{-beta/2} (0 at n=0)
     bessel_derivative (1+n)^{+beta/2}     riesz_derivative n^{+beta/2}
-* ``integral``: the subordinated s-integral computed numerically per chaos
-  level.  For the Riesz pair this reproduces the spectral multipliers; for
+* ``integral``: the subordinated s-integral of P_s (for the derivatives, of
+  (P_s - I)^k) against s^{+-beta-1}, computed numerically as one s-integral
+  per operator whose payload holds one component per chaos level of the
+  input.  For the Riesz pair this reproduces the spectral multipliers; for
   the Bessel pair it yields (1 + sqrt(n))^{-+beta} instead, a genuinely
   different operator, and both are reported side by side.
+
+Both Riesz operators annihilate the mean, level 0, in both representations;
+the multipliers never evaluate n^{-+beta/2} or the s-integral there.
 
 The derivative integrands use the k-th power (P_s - I)^k, whose symbol on
 a level with rate a is (e^{-a s} - 1)^k.  It is evaluated through expm1,
@@ -24,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hermite import HermiteExpansion, scale_by_level
+from .hermite import HermiteExpansion, remove_mean, scale_by_level
 from .quadrature import integrate_halfline
 
 KINDS = ("bessel_potential", "riesz_potential", "riesz_derivative", "bessel_derivative")
@@ -69,12 +74,12 @@ def c_beta_constant(beta: float, k: int) -> float:
     """
     if not 0 < beta < k:
         raise ValueError("c^k_beta requires 0 < beta < k")
-    return float(integrate_halfline(_difference_integrand(1.0, beta, k), tol=1e-12))
+    return float(integrate_halfline(_difference_integrand(np.ones(1), beta, k), tol=1e-12)[0])
 
 
-def _difference_integrand(a: float, beta: float, k: int):
-    """s -> (e^{-a s} - 1)^k s^{-beta-1}, the symbol of (P_s - I)^k on a level
-    with rate a against s^{-beta-1}.
+def _difference_integrand(a: np.ndarray, beta: float, k: int):
+    """s (S,) -> (e^{-a s} - 1)^k s^{-beta-1} (S, A), the symbol of
+    (P_s - I)^k on levels with rates a > 0 against s^{-beta-1}.
 
     Formed in log space, (-1)^k exp(k log(-expm1(-a s)) - (beta+1) log s):
     the factors alone overflow at the tiny s the half-line rule reaches, and
@@ -83,6 +88,7 @@ def _difference_integrand(a: float, beta: float, k: int):
     sign = (-1.0) ** k
 
     def integrand(s):
+        s = s[:, None]
         return sign * np.exp(k * np.log(-np.expm1(-a * s)) - (beta + 1.0) * np.log(s))
 
     return integrand
@@ -104,28 +110,36 @@ def c_beta_closed_form(beta: float, k: int) -> float:
 
 
 @lru_cache(maxsize=8192)
-def _integral_eigenvalue(kind: str, beta: float, k: int, n: int, tol: float) -> float:
-    """Numerical action of the integral representation on chaos level n.
+def _integral_eigenvalue(kind: str, beta: float, k: int, levels: tuple, tol: float) -> np.ndarray:
+    """Numerical action of the integral representation on the chaos levels
+    ``levels``, one read-only array.
 
     P_s acts on level n by e^{-a s} with rate a = sqrt(n) for the Riesz
-    kinds and a = 1 + sqrt(n) for the Bessel kinds.
+    kinds and a = 1 + sqrt(n) for the Bessel kinds.  One s-integral carries
+    every level with a > 0 as a payload component: its stopping rule holds
+    each level to the absolute ``tol`` it would meet alone, and its
+    truncation is the union of theirs.  The Riesz derivative is 0 at a = 0;
+    the Riesz potential is undefined there.
     """
-    a = 1.0 + math.sqrt(n) if kind.startswith("bessel") else math.sqrt(n)
+    n = np.asarray(levels, dtype=float)
+    a = 1.0 + np.sqrt(n) if kind.startswith("bessel") else np.sqrt(n)
+    out = np.zeros(a.shape)
+    live = a > 0.0
     if kind.endswith("potential"):
-        if a == 0.0:
+        if not live.all():
             raise ValueError("the integral Riesz potential is undefined on the mean "
                              "component; remove the mean first")
 
         def integrand(s):
+            s = s[:, None]
             return np.exp((beta - 1.0) * np.log(s) - a * s)
 
-        return float(integrate_halfline(integrand, tol=tol)) / math.gamma(beta)
-
-    if a == 0.0:
-        return 0.0
-
-    num = float(integrate_halfline(_difference_integrand(a, beta, k), tol=tol))
-    return num / c_beta_constant(beta, k)
+        out[:] = integrate_halfline(integrand, tol=tol) / math.gamma(beta)
+    elif live.any():
+        num = integrate_halfline(_difference_integrand(a[live], beta, k), tol=tol)
+        out[live] = num / c_beta_constant(beta, k)
+    out.setflags(write=False)
+    return out
 
 
 def eigenvalue_oracle(kind: str, beta: float, n: int, representation: str) -> float:
@@ -154,31 +168,33 @@ def eigenvalue_oracle(kind: str, beta: float, n: int, representation: str) -> fl
 
 
 def _spectral_multiplier(kind: str, beta: float):
-    if kind == "bessel_potential":
-        return lambda n: (1.0 + n) ** (-beta / 2.0)
-    if kind == "bessel_derivative":
-        return lambda n: (1.0 + n) ** (beta / 2.0)
-    if kind == "riesz_potential":
-        return lambda n: 0.0 if n == 0 else n ** (-beta / 2.0)
-    return lambda n: 0.0 if n == 0 else n ** (beta / 2.0)
+    """Levels (L,) -> the spectral multiplier (L,) of ``kind``."""
+    power = beta / 2.0 if kind.endswith("derivative") else -beta / 2.0
+    if kind.startswith("bessel"):
+        return lambda n: (1.0 + n) ** power
+
+    def riesz(n):
+        # 0 on the mean, where n^{-beta/2} would divide by zero
+        out = np.zeros(n.shape)
+        out[n > 0] = n[n > 0] ** power
+        return out
+
+    return riesz
 
 
 def apply_fractional(f: HermiteExpansion, spec: FractionalSpec) -> HermiteExpansion:
-    """Apply the operator of ``spec`` to an expansion: one multiplier per chaos level."""
+    """Apply the operator of ``spec`` to an expansion: one multiplier over
+    its chaos levels, for the integral representation one s-integral."""
     if not isinstance(f, HermiteExpansion):
         raise ValueError("apply_fractional requires a HermiteExpansion input")
-    if spec.kind == "riesz_potential" and spec.representation == "integral":
+    if spec.representation == "spectral":
+        return scale_by_level(f, _spectral_multiplier(spec.kind, spec.beta))
+
+    if spec.kind == "riesz_potential":
         if abs(f.coefficient((0,) * f.dimension)) > 1e-12:
             raise ValueError(
                 "the integral Riesz potential requires a mean-zero input; "
                 "apply remove_mean first")
-
-    if spec.representation == "spectral":
-        return scale_by_level(f, _spectral_multiplier(spec.kind, spec.beta))
-
-    def multiplier(n):
-        if n == 0 and spec.kind.startswith("riesz"):
-            return 0.0  # both annihilate the mean; the potential's was checked above
-        return _integral_eigenvalue(spec.kind, spec.beta, spec.k, n, spec.tol)
-
-    return scale_by_level(f, multiplier)
+        f = remove_mean(f)  # 0 on the mean, where the s-integral diverges
+    return scale_by_level(f, lambda n: _integral_eigenvalue(
+        spec.kind, spec.beta, spec.k, tuple(n.tolist()), spec.tol))

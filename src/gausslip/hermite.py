@@ -206,13 +206,19 @@ def remove_mean(e: HermiteExpansion) -> HermiteExpansion:
 
 
 def scale_by_level(e: HermiteExpansion, multiplier) -> HermiteExpansion:
-    """Apply a spectral multiplier m(|nu|) to every coefficient; m is called
-    once per level that holds a nonzero coefficient, in increasing order."""
+    """Apply a spectral multiplier m(|nu|) to every coefficient.
+
+    ``multiplier`` is called once, with the int array of the levels that hold
+    a nonzero coefficient, in increasing order, and returns one factor per
+    level; it is not called when every coefficient is zero.  Levels without
+    a coefficient never reach it, so it may be undefined there.
+    """
     levels = _index_table(e.dimension, e.degree_cap)[1]
     factor = np.zeros(e.degree_cap + 1)
-    # a set, not np.unique: np.unique imports numpy.ma on first use
-    for n in sorted(set(levels[e.vector != 0.0].tolist())):
-        factor[n] = multiplier(n)
+    # bincount, not np.unique: np.unique imports numpy.ma on first use
+    live = np.flatnonzero(np.bincount(levels[e.vector != 0.0], minlength=factor.size))
+    if live.size:
+        factor[live] = multiplier(live)
     return HermiteExpansion(e.dimension, e.degree_cap, e.vector * factor[levels])
 
 

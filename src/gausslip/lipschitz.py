@@ -183,7 +183,7 @@ def modulus_probe(f, alpha: float, n: int | None = None, t_grid=None, *,
     e = _as_expansion(f, degree_cap)
     sup_f = sup_norm_estimate(e, x_radius, grid_points).value
     # the multiplier is called within its own iteration, at that t
-    diffs = [scale_by_level(e, lambda m: math.expm1(-math.sqrt(m) * t) ** n) for t in t_grid]
+    diffs = [scale_by_level(e, lambda m: np.expm1(-np.sqrt(m) * t) ** n) for t in t_grid]
     norms = [sup.value for sup in _sup_norms(diffs, x_radius, grid_points)]
     rows = tuple(ModulusRow(t=t, norm=norm, ratio=norm / t ** alpha)
                  for t, norm in zip(t_grid, norms))

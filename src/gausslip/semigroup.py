@@ -364,7 +364,7 @@ def ou_apply(f, q: SemigroupQuery, *, d: int = 1):
         if not isinstance(f, HermiteExpansion):
             raise ValueError("the spectral method requires a HermiteExpansion input")
         t = q.t
-        return scale_by_level(f, lambda n: math.exp(-t * n))
+        return scale_by_level(f, lambda n: np.exp(-t * n))
     if q.method != "kernel":
         raise ValueError("ou_apply supports the spectral and kernel methods")
     func = as_function(f) if isinstance(f, HermiteExpansion) else f
@@ -443,17 +443,29 @@ def ph_kernel_time_derivative(t: float, x, y, k: int, tol: float = 1e-9, d: int 
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=4096)
-def _subordination_multiplier(t: float, n: int, tol: float) -> float:
-    """lambda_n(t) = ∫_0^infty e^{-n s} g(t, s) ds  (equals e^{-sqrt(n) t})."""
-    # T_s on chaos level n; on level 0 it is 1 at every s, s = inf included
-    return float(_subordinate(t, 0, lambda s: np.exp(-n * s) if n else np.ones_like(s), tol))
+def _subordination_multiplier(t: float, levels: tuple, tol: float) -> np.ndarray:
+    """lambda_n(t) = ∫_0^infty e^{-n s} g(t, s) ds (equals e^{-sqrt(n) t}) for
+    every n in ``levels``, as one read-only array.
+
+    One s-integral whose payload holds T_s on each level; its stopping rule
+    holds every level to ``tol``, and its truncation is the union of theirs.
+    """
+    n = np.asarray(levels, dtype=float)
+
+    def on_levels(s):
+        # e^{-n s}; on level 0 it is 1 at every s, s = inf included
+        return np.exp(np.multiply.outer(-s, n, out=np.zeros((s.size, n.size)), where=n > 0))
+
+    out = _subordinate(t, 0, on_levels, tol)
+    out.setflags(write=False)
+    return out
 
 
 def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
     """Apply d^k/dt^k P_t in the representation selected by ``q``.
 
     spectral      : expansion -> expansion, multiplier (-sqrt(n))^k e^{-sqrt(n) t}
-    subordination : k = 0 only; expansion -> expansion via per-level s-integrals,
+    subordination : k = 0 only; expansion -> expansion via one s-integral over its levels,
                     callable -> callable via Gauss-Hermite evaluation of T_s
     kernel        : callable (or wrapped expansion) -> callable via p(t, x, y)
                     quadrature on a graded truncated y-grid; k <= 3.
@@ -463,8 +475,7 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
     if q.method == "spectral":
         if not isinstance(f, HermiteExpansion):
             raise ValueError("the spectral method requires a HermiteExpansion input")
-        return scale_by_level(
-            f, lambda n: (-math.sqrt(n)) ** k * math.exp(-math.sqrt(n) * t))
+        return scale_by_level(f, lambda n: (-np.sqrt(n)) ** k * np.exp(-np.sqrt(n) * t))
 
     if q.method == "subordination":
         if k > 0:
@@ -472,7 +483,8 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
                 "derivative_order > 0 is not supported with the subordination "
                 "method; use the spectral or kernel representation")
         if isinstance(f, HermiteExpansion):
-            return scale_by_level(f, lambda n: _subordination_multiplier(t, n, tol))
+            return scale_by_level(
+                f, lambda n: _subordination_multiplier(t, tuple(n.tolist()), tol))
         nodes = tensor_nodes(default_rule(), d)
 
         def apply_sub(x):

@@ -325,7 +325,7 @@ def _dt_dev(poly) -> float:
 def _semigroup_power_dev(cos, k: int) -> float:
     """(P_t - I)^k f spectrally against Delta_t^k of tau -> P_tau f."""
     e, t, x = cos(), 0.3, 0.7
-    direct = eval_expansion(scale_by_level(e, lambda m: math.expm1(-math.sqrt(m) * t) ** k), x)
+    direct = eval_expansion(scale_by_level(e, lambda m: np.expm1(-np.sqrt(m) * t) ** k), x)
     delta = fd.forward_difference(
         lambda tau: eval_expansion(ph_apply(e, SemigroupQuery(float(tau), "spectral")), x),
         fd.ForwardDifferenceQuery(0.0, t, k))
@@ -386,7 +386,7 @@ def _eigenvalue(kind: str, beta: float, n: int, representation: str) -> dict:
     """One eigenvalue-table entry against ``eigenvalue_oracle``."""
     if representation == "integral":
         spec = frac.FractionalSpec(kind=kind, beta=beta, representation="integral")
-        got = frac._integral_eigenvalue(kind, beta, spec.k, n, spec.tol)
+        got = float(frac._integral_eigenvalue(kind, beta, spec.k, (n,), spec.tol)[0])
     else:
         out = _spectral(HermiteExpansion(1, max(n, 1), {(n,): 1.0}), kind, beta)
         got = out.coefficient((n,))
@@ -404,7 +404,7 @@ def _representation_agreement(kind: str) -> float:
     worst = 0.0
     for n in range(1, 10):
         spec = frac.FractionalSpec(kind=kind, beta=0.5, representation="integral")
-        got = frac._integral_eigenvalue(kind, 0.5, spec.k, n, spec.tol)
+        got = float(frac._integral_eigenvalue(kind, 0.5, spec.k, (n,), spec.tol)[0])
         want = frac.eigenvalue_oracle(kind, 0.5, n, "spectral")
         worst = max(worst, abs(got - want) / abs(want))
     return worst
@@ -426,7 +426,7 @@ def suite_fractional(config: SuiteConfig) -> list:
     # the two Bessel-potential representations act differently; exhibit it
     spectral = cache(lambda: frac.eigenvalue_oracle("bessel_potential", 1.0, 1, "spectral"))
     subordinated = cache(
-        lambda: frac._integral_eigenvalue("bessel_potential", 1.0, 2, 1, 1e-9))
+        lambda: float(frac._integral_eigenvalue("bessel_potential", 1.0, 2, (1,), 1e-9)[0]))
     rng = np.random.default_rng(config.seed)
     e = HermiteExpansion(1, 12, {(n,): float(rng.uniform(-1, 1)) for n in range(13)})
     return specs + [

@@ -33,6 +33,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             ForwardDifferenceQuery(-0.1, 0.1, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["t", "s"])
+    def test_query_rejects_non_finite_times(self, field, bad):
+        # forward_difference returned nan for a nan t or s
+        args = {"t": 0.5, "s": 0.1, "k": 2, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            ForwardDifferenceQuery(**args)
+
     def test_first_order_is_plain_difference(self):
         f = math.sin
         q = ForwardDifferenceQuery(0.3, 0.2, 1)
@@ -141,7 +149,7 @@ class TestSemigroupCrossCheck:
         x, t = 0.7, 0.3
         from gausslip.hermite import scale_by_level
         direct = eval_expansion(
-            scale_by_level(e, lambda m: math.expm1(-math.sqrt(m) * t) ** k), x)
+            scale_by_level(e, lambda m: np.expm1(-np.sqrt(m) * t) ** k), x)
         u = lambda tau: eval_expansion(
             ph_apply(e, SemigroupQuery(float(tau), "spectral")), x)
         delta = forward_difference(u, ForwardDifferenceQuery(0.0, t, k))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gausslip.hermite import (
     project,
     remove_mean,
 )
+from gausslip.quadrature import integrate_halfline
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -107,8 +109,8 @@ def test_difference_integrals_match_mpmath(beta):
         c = integral(1)
         assert c_beta_constant(beta, k) == pytest.approx(float(c), rel=1e-10)
         for a in (1, 2, 4):
-            got = fractional._integral_eigenvalue("riesz_derivative", beta, k, a * a,
-                                                  FractionalSpec.tol)
+            got = fractional._integral_eigenvalue("riesz_derivative", beta, k, (a * a,),
+                                                  FractionalSpec.tol)[0]
             assert got == pytest.approx(float(integral(a) / c), rel=1e-10)
 
 
@@ -249,7 +251,7 @@ class TestOperatorAlgebra:
         from gausslip.fractional import _integral_eigenvalue
         for n in range(1, 10):
             spec = FractionalSpec(kind, 0.5, representation="integral")
-            got = _integral_eigenvalue(kind, 0.5, spec.k, n, 1e-9)
+            got = _integral_eigenvalue(kind, 0.5, spec.k, (n,), 1e-9)[0]
             want = eigenvalue_oracle(kind, 0.5, n, "spectral")
             assert got == pytest.approx(want, rel=1e-5)
 
@@ -257,7 +259,7 @@ class TestOperatorAlgebra:
     def test_bessel_representations_differ(self, kind):
         from gausslip.fractional import _integral_eigenvalue
         spec = FractionalSpec(kind, 1.0, representation="integral")
-        got = _integral_eigenvalue(kind, 1.0, spec.k, 1, 1e-9)
+        got = _integral_eigenvalue(kind, 1.0, spec.k, (1,), 1e-9)[0]
         integral_oracle = eigenvalue_oracle(kind, 1.0, 1, "integral")
         spectral_oracle = eigenvalue_oracle(kind, 1.0, 1, "spectral")
         assert got == pytest.approx(integral_oracle, rel=1e-5)
@@ -268,3 +270,72 @@ class TestInput:
     def test_callable_input_rejected(self):
         with pytest.raises(ValueError, match="requires a HermiteExpansion input"):
             apply_fractional(lambda p: np.cos(p[:, 0]), FractionalSpec("bessel_potential", 1.0))
+
+
+def _every_level(n_max=40):
+    return HermiteExpansion(1, n_max, {(n,): 1.0 for n in range(n_max + 1)})
+
+
+@pytest.mark.parametrize("representation", ["spectral", "integral"])
+@pytest.mark.parametrize("kind", fractional.KINDS)
+@pytest.mark.parametrize("beta", [0.4, 0.8, 1.4, 2.5])
+def test_every_level_matches_the_oracle(kind, representation, beta):
+    """All 41 levels at once; the Riesz kinds give exactly 0 on level 0
+    without evaluating 0^{-beta/2} or log 0, which would warn."""
+    e = _every_level()
+    if kind == "riesz_potential" and representation == "integral":
+        e = remove_mean(e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_fractional(e, FractionalSpec(kind, beta, representation))
+    for n in range(41):
+        got = out.coefficient((n,))
+        if n == 0 and kind.startswith("riesz"):
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(eigenvalue_oracle(kind, beta, n, representation),
+                                        rel=1e-7)
+
+
+class TestOneIntegralPerOperator:
+    @pytest.mark.parametrize("kind", fractional.KINDS)
+    def test_one_halfline_call_per_operator(self, kind, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return integrate_halfline(*args, **kwargs)
+
+        monkeypatch.setattr(fractional, "integrate_halfline", counted)
+        fractional._integral_eigenvalue.cache_clear()
+        fractional.c_beta_constant.cache_clear()
+        e = _every_level()
+        if kind == "riesz_potential":
+            e = remove_mean(e)
+        apply_fractional(e, FractionalSpec(kind, 1.4, representation="integral"))
+        # the derivatives also compute c^k_beta, once
+        assert len(calls) == (2 if kind.endswith("derivative") else 1)
+
+    @pytest.mark.parametrize("kind", fractional.KINDS)
+    @pytest.mark.parametrize("beta", [0.4, 1.4, 2.5])
+    def test_vector_matches_single_levels(self, kind, beta):
+        k = smallest_integer_above(beta)
+        levels = tuple(range(1, 41))
+        vector = fractional._integral_eigenvalue(kind, beta, k, levels, 1e-9)
+        single = [fractional._integral_eigenvalue(kind, beta, k, (n,), 1e-9)[0]
+                  for n in levels]
+        assert not vector.flags.writeable
+        assert np.max(np.abs(vector - single)) <= 1e-9
+
+    def test_riesz_level_zero(self):
+        got = fractional._integral_eigenvalue("riesz_derivative", 0.5, 1, (0, 4), 1e-9)
+        assert got[0] == 0.0 and got[1] == pytest.approx(2.0 ** 0.5, rel=1e-8)
+        with pytest.raises(ValueError, match="mean"):
+            fractional._integral_eigenvalue("riesz_potential", 0.5, 1, (0, 4), 1e-9)
+
+    def test_riesz_potential_zeroes_a_negligible_mean(self):
+        e = HermiteExpansion(1, 4, {(0,): 1e-13, (4,): 1.0})
+        out = apply_fractional(e, FractionalSpec("riesz_potential", 1.0,
+                                                 representation="integral"))
+        assert out.coefficient((0,)) == 0.0
+        assert out.coefficient((4,)) == pytest.approx(0.5, rel=1e-8)

@@ -215,7 +215,8 @@ class TestChaosAndMean:
         assert remove_mean(out).coefficients == out.coefficients
 
     def test_multiplier_skips_levels_without_coefficients(self):
-        e = remove_mean(HermiteExpansion(1, 3, {(0,): 3.0, (2,): 0.5}))
+        e = remove_mean(HermiteExpansion(2, 4, {(0, 0): 3.0, (2, 0): 0.5, (1, 3): 2.0,
+                                                (0, 2): -1.0, (1, 0): 4.0}))
         called = []
 
         def multiplier(n):
@@ -223,8 +224,17 @@ class TestChaosAndMean:
             return 1.0 / n  # undefined at the zeroed mean level
 
         out = scale_by_level(e, multiplier)
-        assert called == [2]
-        assert out.coefficients == {(2,): 0.25}
+        # one call with the occupied levels, ascending, as an int array
+        assert len(called) == 1
+        assert called[0].dtype.kind == "i" and called[0].tolist() == [1, 2, 4]
+        assert out.coefficients == {(1, 0): 4.0, (0, 2): -0.5, (2, 0): 0.25, (1, 3): 0.5}
+
+    def test_multiplier_is_not_called_without_coefficients(self):
+        def multiplier(n):
+            raise AssertionError("called on an empty expansion")
+
+        out = scale_by_level(HermiteExpansion(1, 3, {}), multiplier)
+        assert out.coefficients == {}
 
     def test_mean_removal_fixes_nonconstant_hermite(self):
         e = project(lambda p: hermite_eval((3,), p), 1, 4)

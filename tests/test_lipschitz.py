@@ -128,7 +128,7 @@ class TestBatchedRows:
     def test_modulus_rows(self, expansion):
         rep = modulus_probe(expansion, 1.5, t_grid=T_GRID)
         for row in rep.rows:
-            diff = scale_by_level(expansion, lambda m: math.expm1(-math.sqrt(m) * row.t) ** 2)
+            diff = scale_by_level(expansion, lambda m: np.expm1(-np.sqrt(m) * row.t) ** 2)
             assert row.norm == pytest.approx(sup_norm_estimate(diff).value, rel=1e-12)
 
 

@@ -238,8 +238,33 @@ class TestPHApply:
         # e^{-400 s} g(t, s) is negligible near s = 1 and peaks at
         # s = t/40 (log s ~ -12.9 and -3.7)
         semigroup._subordination_multiplier.cache_clear()
-        got = semigroup._subordination_multiplier(t, 400, 1e-9)
+        got = semigroup._subordination_multiplier(t, (400,), 1e-9)[0]
         assert abs(got - math.exp(-20.0 * t)) <= 1e-9
+
+    def test_subordination_on_expansion_makes_one_s_integral(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return subordinate(*args, **kwargs)
+
+        subordinate = semigroup._subordinate
+        monkeypatch.setattr(semigroup, "_subordinate", counted)
+        semigroup._subordination_multiplier.cache_clear()
+        e = HermiteExpansion(1, 40, {(n,): 1.0 for n in range(41)})
+        out = ph_apply(e, SemigroupQuery(0.3, "subordination"), tol=1e-9)
+        assert len(calls) == 1
+        want = np.exp(-0.3 * np.sqrt(np.arange(41.0)))
+        assert np.max(np.abs(out.vector - want)) <= 1e-9
+
+    @pytest.mark.parametrize("t", [1e-3, 0.3, 5.0])
+    def test_subordination_multiplier_vector_matches_single_levels(self, t):
+        levels = (0, 1, 2, 7, 40, 400, 3000)
+        vector = semigroup._subordination_multiplier(t, levels, 1e-9)
+        single = [semigroup._subordination_multiplier(t, (n,), 1e-9)[0] for n in levels]
+        assert not vector.flags.writeable
+        assert vector[0] == 1.0
+        assert np.max(np.abs(vector - single)) <= 1e-9
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_subordination_on_high_chaos_levels(self, tol):
