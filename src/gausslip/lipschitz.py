@@ -5,8 +5,12 @@ derivative of P_t f by t^{n-alpha}, n being the smallest integer above alpha.
 Sup-norms are grid proxies over [-R, R] (the probes take d = 1 input) with one
 local refinement pass (``supnorm_is_grid_proxy`` is stamped on every
 estimate); derivatives are taken spectrally, which is exact on the truncated
-expansion.  A probe builds each t-row of its t-grid as an expansion and
-evaluates all rows together, one product per grid against one Hermite table.
+expansion.  A probe gets its t-rows from one (T, N+1) symbol matrix, t down
+the column and the chaos level along the row: multiplied into the coefficient
+vector of f it gives the coefficients of every row, which are evaluated with
+f itself as row 0, all rows in one contraction per pass.  The coarse pass
+reads a Hermite table of the sup-norm grid that is built once per
+(degree cap, R, grid points).
 
 Probes are stability checks with declared windows, not proofs.
 """
@@ -14,14 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
 from .fractional import FractionalSpec, apply_fractional, smallest_integer_above
-from .hermite import HermiteExpansion, eval_expansions, project, remove_mean, scale_by_level
+from .hermite import HermiteExpansion, eval_coefficients, hermite_values_1d, project, remove_mean
 from .quadrature import default_rule, eval_batch
-from .semigroup import SemigroupQuery, ph_apply
+from .semigroup import ph_symbol
 
 DEFAULT_T_GRID = tuple(np.geomspace(0.0125, 4.0, 16))
 
@@ -65,6 +69,7 @@ def _sorted_t_grid(t_grid) -> tuple:
 
 def _as_expansion(f, degree_cap: int = 40) -> HermiteExpansion:
     if isinstance(f, HermiteExpansion):
+        check_probe_dimension(f.dimension)
         return f
     return project(f, 1, degree_cap, default_rule())
 
@@ -75,20 +80,29 @@ def check_probe_dimension(d: int, what: str = "expansion") -> None:
         raise ValueError(f"the Lipschitz probes take d=1 input, got a d={d} {what}")
 
 
-def _sup_norms(fs: list, x_radius: float, grid_points: int) -> list:
-    """``sup_norm_estimate`` of each of ``fs``: one callable, or d=1 expansions
-    of one degree cap, which each pass evaluates together with one product."""
+@lru_cache(maxsize=32)
+def _grid_table(degree_cap: int, x_radius: float, grid_points: int) -> np.ndarray:
+    """Read-only Hermite table of the coarse sup-norm grid, built on first use."""
+    table = hermite_values_1d(degree_cap, np.linspace(-x_radius, x_radius, grid_points))
+    table.setflags(write=False)
+    return table
+
+
+def _sup_norms(fs, x_radius: float, grid_points: int) -> list:
+    """``sup_norm_estimate`` of one callable, or of each row of a (K, N+1)
+    coefficient array of d=1 expansions, which each pass evaluates together
+    with one contraction."""
     if grid_points < 3:
         raise ValueError("need at least 3 grid points per axis")
-    if not fs:
-        return []
-    if isinstance(fs[0], HermiteExpansion):
-        check_probe_dimension(fs[0].dimension)
-        values = partial(eval_expansions, fs)
-    else:
-        values = lambda p: eval_batch(fs[0], p.reshape(-1, 1)).reshape(p.shape[:-1])
     xs = np.linspace(-x_radius, x_radius, grid_points)
-    vals = np.abs(values(xs[None, :, None]))
+    if callable(fs):
+        values = lambda p: eval_batch(fs, p.reshape(-1, 1)).reshape(p.shape[:-1])
+        vals = np.abs(values(xs[None, :, None]))
+    else:
+        n_max = fs.shape[1] - 1
+        values = lambda p: eval_coefficients(fs, 1, n_max, p)
+        vals = np.abs(eval_coefficients(fs, 1, n_max, xs[None, :, None],
+                                        (_grid_table(n_max, x_radius, grid_points),)))
     i = np.argmax(vals, axis=1)
     h = xs[1] - xs[0]
     # each function on its own window around its argmax
@@ -98,7 +112,7 @@ def _sup_norms(fs: list, x_radius: float, grid_points: int) -> list:
     j = np.argmax(fvals, axis=1)
     return [SupNorm(value=float(max(fvals[r, j[r]], vals[r, i[r]])),
                     location=float(fine[r, j[r]] if fvals[r, j[r]] >= vals[r, i[r]] else xs[i[r]]),
-                    boundary=bool(i[r] in (0, grid_points - 1))) for r in range(len(fs))]
+                    boundary=bool(i[r] in (0, grid_points - 1))) for r in range(len(vals))]
 
 
 def sup_norm_estimate(f, x_radius: float = 3.0, grid_points: int = 121) -> SupNorm:
@@ -107,14 +121,23 @@ def sup_norm_estimate(f, x_radius: float = 3.0, grid_points: int = 121) -> SupNo
     A lower bound of the true sup-norm; the boundary flag marks an argmax on
     the edge of the box (sup possibly not attained inside).
     """
-    return _sup_norms([f], x_radius, grid_points)[0]
+    if isinstance(f, HermiteExpansion):
+        f = _as_expansion(f).vector[None]
+    return _sup_norms(f, x_radius, grid_points)[0]
 
 
-def _derivative_sup_rows(e: HermiteExpansion, order: int, t_grid, x_radius: float,
-                         grid_points: int = 121) -> list:
-    rows = [ph_apply(e, SemigroupQuery(float(t), "spectral", order)) for t in t_grid]
-    sups = _sup_norms(rows, x_radius, grid_points)
-    return [(float(t), sup.value) for t, sup in zip(t_grid, sups)]
+def _sups_with_f(e: HermiteExpansion, symbol: np.ndarray, x_radius: float,
+                 grid_points: int) -> list:
+    """Sup-norms of f and then of its image under each row of the (T, N+1)
+    ``symbol``, from one (1 + T, N+1) coefficient array."""
+    return _sup_norms(np.vstack([e.vector, e.vector * symbol]), x_radius, grid_points)
+
+
+def _derivative_sups(e: HermiteExpansion, order: int, t_grid, x_radius: float,
+                     grid_points: int) -> list:
+    """Sup-norms of f and of d^order/dt^order P_t f at each t of the grid."""
+    symbol = ph_symbol(np.array(t_grid)[:, None], np.arange(e.degree_cap + 1), order)
+    return _sups_with_f(e, symbol, x_radius, grid_points)
 
 
 def seminorm_estimate(f, alpha: float, t_grid=None, x_radius: float = 3.0, *,
@@ -134,14 +157,11 @@ def seminorm_estimate(f, alpha: float, t_grid=None, x_radius: float = 3.0, *,
     if n <= alpha:
         raise ValueError(f"derivative order n={n} must exceed alpha={alpha}")
     t_grid = _sorted_t_grid(t_grid)
-    e = _as_expansion(f, degree_cap)
-    sup_f = sup_norm_estimate(e, x_radius, grid_points)
-    rows = []
-    flags = []
-    if sup_f.boundary:
-        flags.append("boundary")
-    for t, sup in _derivative_sup_rows(e, n, t_grid, x_radius, grid_points):
-        rows.append(SeminormRow(t=t, sup_norm=sup, weighted=t ** (n - alpha) * sup))
+    sup_f, *sups = _derivative_sups(_as_expansion(f, degree_cap), n, t_grid, x_radius,
+                                    grid_points)
+    flags = ["boundary"] if sup_f.boundary else []
+    rows = [SeminormRow(t=t, sup_norm=sup.value, weighted=t ** (n - alpha) * sup.value)
+            for t, sup in zip(t_grid, sups)]
     weighted = [r.weighted for r in rows]
     a_alpha = max(weighted) if weighted else 0.0
     if len(rows) >= 2 and weighted[0] == a_alpha and weighted[0] > 1.02 * weighted[1] > 0:
@@ -181,10 +201,9 @@ def modulus_probe(f, alpha: float, n: int | None = None, t_grid=None, *,
         n = smallest_integer_above(alpha)
     t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
-    sup_f = sup_norm_estimate(e, x_radius, grid_points).value
-    # the multiplier is called within its own iteration, at that t
-    diffs = [scale_by_level(e, lambda m: np.expm1(-np.sqrt(m) * t) ** n) for t in t_grid]
-    norms = [sup.value for sup in _sup_norms(diffs, x_radius, grid_points)]
+    # (P_t - I)^n acts on chaos level m by (e^{-sqrt(m) t} - 1)^n
+    symbol = np.expm1(-np.sqrt(np.arange(e.degree_cap + 1)) * np.array(t_grid)[:, None]) ** n
+    sup_f, *norms = [sup.value for sup in _sups_with_f(e, symbol, x_radius, grid_points)]
     rows = tuple(ModulusRow(t=t, norm=norm, ratio=norm / t ** alpha)
                  for t, norm in zip(t_grid, norms))
     return ModulusReport(alpha=alpha, n=n, rows=rows,
@@ -258,8 +277,9 @@ def inclusion_probe(f, alpha1: float, alpha2: float, t_grid=None, *,
         raise ValueError("the probe requires 0 < alpha1 <= alpha2")
     n = smallest_integer_above(alpha2)
     t_grid = _sorted_t_grid(t_grid)
-    e = _as_expansion(f, degree_cap)
-    sup_rows = _derivative_sup_rows(e, n, t_grid, x_radius, grid_points)
+    sups = _derivative_sups(_as_expansion(f, degree_cap), n, t_grid, x_radius,
+                            grid_points)[1:]
+    sup_rows = [(t, sup.value) for t, sup in zip(t_grid, sups)]
     a1 = max((t ** (n - alpha1) * s for t, s in sup_rows), default=0.0)
     a2 = max((t ** (n - alpha2) * s for t, s in sup_rows), default=0.0)
     c_remark = max((t ** n * s for t, s in sup_rows if t >= 1.0), default=0.0)

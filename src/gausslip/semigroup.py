@@ -461,6 +461,14 @@ def _subordination_multiplier(t: float, levels: tuple, tol: float) -> np.ndarray
     return out
 
 
+def ph_symbol(t, levels, k: int = 0) -> np.ndarray:
+    """The spectral multiplier (-sqrt(n))^k e^{-sqrt(n) t} of d^k/dt^k P_t on
+    the chaos levels n; a column of times ``t`` against the row of levels
+    gives the (T, L) symbol matrix."""
+    neg_root = -np.sqrt(levels)
+    return neg_root ** k * np.exp(neg_root * t)
+
+
 def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
     """Apply d^k/dt^k P_t in the representation selected by ``q``.
 
@@ -475,7 +483,7 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
     if q.method == "spectral":
         if not isinstance(f, HermiteExpansion):
             raise ValueError("the spectral method requires a HermiteExpansion input")
-        return scale_by_level(f, lambda n: (-np.sqrt(n)) ** k * np.exp(-np.sqrt(n) * t))
+        return scale_by_level(f, lambda n: ph_symbol(t, n, k))
 
     if q.method == "subordination":
         if k > 0:

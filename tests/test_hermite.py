@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from gausslip.hermite import (
     HermiteExpansion,
     chaos_project,
+    eval_coefficients,
     eval_expansion,
     expansion_from_json,
     expansion_to_json,
     graded_indices,
     hermite_eval,
+    hermite_values_1d,
     project,
     remove_mean,
     scale_by_level,
@@ -50,6 +52,30 @@ class TestHermiteEval:
         xs = np.linspace(-2.5, 2.5, 11)
         got = hermite_eval((n,), xs[:, None])
         assert got == pytest.approx(_normalized_oracle(n, xs), rel=1e-12, abs=1e-12)
+
+    def test_normalized_recurrence_matches_mpmath_to_degree_256(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.linspace(-3.0, 3.0, 13)
+        table = hermite_values_1d(256, xs)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for n in range(257):
+                norm = mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n))
+                for x, got in zip(xs.tolist(), table[n].tolist()):
+                    want = mpmath.hermite(n, x) / norm
+                    # |h_n(x)| stays below ~e^{x^2/2}: the error is measured on that scale
+                    worst = max(worst, float(abs(got - want) / mpmath.exp(x * x / 2)))
+        assert worst <= 1e-14
+
+    def test_cached_coefficients_keep_the_recurrence_bit_identical(self):
+        xs = np.linspace(-3.0, 3.0, 121)
+        want = np.empty((41, xs.size))
+        want[0] = 1.0
+        want[1] = math.sqrt(2.0) * xs
+        for n in range(1, 40):
+            want[n + 1] = (math.sqrt(2.0 / (n + 1)) * xs * want[n]
+                           - math.sqrt(n / (n + 1.0)) * want[n - 1])
+        assert np.array_equal(hermite_values_1d(40, xs), want)
 
     def test_product_structure_in_two_dims(self):
         x = (0.4, -1.1)
@@ -172,6 +198,22 @@ class TestEvalExpansion:
         want = sum(c * hermite_eval(nu, xs) for nu, c in coeffs.items())
         assert eval_expansion(e, xs) == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert eval_expansion(e, xs[0]) == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("d, n_max", [(1, 12), (2, 5)])
+    def test_coefficient_rows_evaluate_at_own_or_shared_points(self, d, n_max):
+        rng = np.random.default_rng(d)
+        vectors = rng.uniform(-1, 1, (3, len(graded_indices(d, n_max))))
+        own = rng.uniform(-2.5, 2.5, (3, 7, d))
+        shared = own[:1]
+        got_own = eval_coefficients(vectors, d, n_max, own)
+        got_shared = eval_coefficients(vectors, d, n_max, shared)
+        assert got_own.shape == got_shared.shape == (3, 7)
+        for r, v in enumerate(vectors):
+            e = HermiteExpansion(d, n_max, v)
+            assert np.array_equal(got_own[r], eval_expansion(e, own[r]))
+            assert np.array_equal(got_shared[r], eval_expansion(e, shared[0]))
+        tables = [hermite_values_1d(n_max, shared[..., axis]) for axis in range(d)]
+        assert np.array_equal(eval_coefficients(vectors, d, n_max, shared, tables), got_shared)
 
     def test_two_dim_round_trip(self):
         rng = np.random.default_rng(0)

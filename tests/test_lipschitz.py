@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from gausslip import hermite, lipschitz, semigroup
 from gausslip.catalog import catalog_function
 from gausslip.fractional import FractionalSpec
 from gausslip.hermite import HermiteExpansion, eval_expansion, project, scale_by_level
@@ -44,9 +46,13 @@ class TestSupNorm:
 
     def test_probes_reject_d2_input_explicitly(self):
         e = HermiteExpansion(2, 2, {(1, 1): 1.0})
+        op = FractionalSpec("bessel_potential", 0.5)
+        message = re.escape("the Lipschitz probes take d=1 input, got a d=2 expansion")
         for probe in (lambda: sup_norm_estimate(e), lambda: seminorm_estimate(e, 0.5),
-                      lambda: modulus_probe(e, 0.5), lambda: inclusion_probe(e, 0.4, 0.8)):
-            with pytest.raises(ValueError, match="take d=1 input, got a d=2 expansion"):
+                      lambda: modulus_probe(e, 0.5), lambda: inclusion_probe(e, 0.4, 0.8),
+                      lambda: derivative_equivalence_probe(e, 0.5, 1, 2),
+                      lambda: operator_boundedness_probe(op, [("h11", e)], 0.4)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 probe()
 
     def test_grid_size_validation(self):
@@ -107,8 +113,8 @@ class TestSeminormEstimate:
 
 
 class TestBatchedRows:
-    """A probe evaluates all its t-rows together; each row must match the
-    per-t route, one sup_norm_estimate per expansion."""
+    """A probe evaluates all its t-rows together; each row must equal, bit for
+    bit, the per-t route, one sup_norm_estimate per expansion."""
 
     @pytest.fixture(params=["cos", "rough"])
     def expansion(self, request):
@@ -123,13 +129,48 @@ class TestBatchedRows:
         est = seminorm_estimate(expansion, alpha, T_GRID)
         for row in est.rows:
             deriv = ph_apply(expansion, SemigroupQuery(row.t, "spectral", est.n))
-            assert row.sup_norm == pytest.approx(sup_norm_estimate(deriv).value, rel=1e-12)
+            assert row.sup_norm == sup_norm_estimate(deriv).value
+        assert est.sup_norm_f == sup_norm_estimate(expansion).value
 
     def test_modulus_rows(self, expansion):
         rep = modulus_probe(expansion, 1.5, t_grid=T_GRID)
         for row in rep.rows:
             diff = scale_by_level(expansion, lambda m: np.expm1(-np.sqrt(m) * row.t) ** 2)
-            assert row.norm == pytest.approx(sup_norm_estimate(diff).value, rel=1e-12)
+            assert row.norm == sup_norm_estimate(diff).value
+
+    def test_rows_do_not_depend_on_their_batch(self, expansion):
+        sub = T_GRID[::7]
+        assert len(sub) == 3
+        for probe in (lambda grid: seminorm_estimate(expansion, 0.5, grid),
+                      lambda grid: modulus_probe(expansion, 1.5, t_grid=grid)):
+            full = {row.t: row for row in probe(T_GRID).rows}
+            assert [row == full[row.t] for row in probe(sub).rows] == [True] * 3
+        assert (seminorm_estimate(expansion, 0.5, sub).sup_norm_f
+                == seminorm_estimate(expansion, 0.5, T_GRID).sup_norm_f)
+
+    def test_warm_seminorm_builds_no_expansion_per_t_and_one_table(self, expansion,
+                                                                   monkeypatch):
+        seminorm_estimate(expansion, 0.5, T_GRID)  # builds the grid table
+        calls = {"tables": 0, "per_t": 0}
+        real_table = hermite.hermite_values_1d
+
+        def table(*args):
+            calls["tables"] += 1
+            return real_table(*args)
+
+        def per_t(*args, **kwargs):
+            calls["per_t"] += 1
+            raise AssertionError("a probe row built as its own expansion")
+
+        for mod in (hermite, lipschitz):
+            monkeypatch.setattr(mod, "hermite_values_1d", table, raising=False)
+        for mod in (semigroup, lipschitz):
+            monkeypatch.setattr(mod, "ph_apply", per_t, raising=False)
+        for mod in (hermite, lipschitz):
+            monkeypatch.setattr(mod, "scale_by_level", per_t, raising=False)
+        est = seminorm_estimate(expansion, 0.5, T_GRID)
+        assert len(est.rows) == 16
+        assert calls == {"tables": 1, "per_t": 0}
 
 
 class TestModulusProbe:
