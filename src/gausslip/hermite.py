@@ -37,14 +37,6 @@ def graded_indices(d: int, n_max: int) -> list[tuple[int, ...]]:
     return idx
 
 
-@cache
-def _recurrence(n_max: int) -> tuple:
-    """The coefficients sqrt(2/(n+1)) and sqrt(n/(n+1)) of the normalized
-    recurrence, n = 0 .. n_max - 1, as two tuples of floats."""
-    n = np.arange(n_max)
-    return tuple(np.sqrt(2.0 / (n + 1)).tolist()), tuple(np.sqrt(n / (n + 1.0)).tolist())
-
-
 def hermite_values_1d(n_max: int, x) -> np.ndarray:
     """Table of normalized 1-d Hermite values, shape (n_max+1, *x.shape).
 
@@ -55,9 +47,9 @@ def hermite_values_1d(n_max: int, x) -> np.ndarray:
     out[0] = 1.0
     if n_max >= 1:
         out[1] = math.sqrt(2.0) * x
-    a, b = _recurrence(n_max)
     for n in range(1, n_max):
-        out[n + 1] = a[n] * x * out[n] - b[n] * out[n - 1]
+        out[n + 1] = (math.sqrt(2.0 / (n + 1)) * x * out[n]
+                      - math.sqrt(n / (n + 1.0)) * out[n - 1])
     return out
 
 
@@ -168,14 +160,13 @@ def project(f, d: int, n_max: int, rule: QuadratureRule | None = None) -> Hermit
     return HermiteExpansion(d, n_max, acc[tuple(indices.T)] / math.pi ** (d / 2.0))
 
 
-def eval_coefficients(vectors, d: int, n_max: int, x, tables=None) -> np.ndarray:
+def eval_coefficients(vectors, d: int, n_max: int, x) -> np.ndarray:
     """Values of the expansions whose coefficient vectors over
     ``graded_indices(d, n_max)`` are the rows of ``vectors`` (K, M), each at its
     own points ``x`` of shape ``(K or 1, *batch, d)``, as ``(K, *batch)``.
 
     The coefficients are contracted with the Hermite table of each axis in
-    turn; ``tables`` may give those tables, ``hermite_values_1d(n_max,
-    x[..., axis])`` for axis 0 .. d-1, so that a fixed grid builds them once.
+    turn.
     """
     vectors = np.asarray(vectors, dtype=float)
     pts = as_points(x, d)
@@ -183,8 +174,7 @@ def eval_coefficients(vectors, d: int, n_max: int, x, tables=None) -> np.ndarray
     acc[(slice(None),) + tuple(_index_table(d, n_max)[0].T)] = vectors
     subscripts = "t...n,ntb->t...b"
     for axis in range(d - 1, -1, -1):
-        table = (hermite_values_1d(n_max, pts[..., axis]) if tables is None
-                 else tables[axis]).reshape(n_max + 1, pts.shape[0], -1)
+        table = hermite_values_1d(n_max, pts[..., axis]).reshape(n_max + 1, pts.shape[0], -1)
         table = np.broadcast_to(table, (n_max + 1, len(vectors), table.shape[2]))
         acc = np.einsum(subscripts, acc, table)
         subscripts = "t...nb,ntb->t...b"

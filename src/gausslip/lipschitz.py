@@ -8,9 +8,7 @@ estimate); derivatives are taken spectrally, which is exact on the truncated
 expansion.  A probe gets its t-rows from one (T, N+1) symbol matrix, t down
 the column and the chaos level along the row: multiplied into the coefficient
 vector of f it gives the coefficients of every row, which are evaluated with
-f itself as row 0, all rows in one contraction per pass.  The coarse pass
-reads a Hermite table of the sup-norm grid that is built once per
-(degree cap, R, grid points).
+f itself as row 0, all rows in one contraction per pass.
 
 Probes are stability checks with declared windows, not proofs.
 """
@@ -18,14 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .fractional import FractionalSpec, apply_fractional, smallest_integer_above
-from .hermite import HermiteExpansion, eval_coefficients, hermite_values_1d, project, remove_mean
+from .hermite import HermiteExpansion, eval_coefficients, project, remove_mean
 from .quadrature import default_rule, eval_batch
-from .semigroup import ph_symbol
+# the probes call ph_symbol only; ph_apply stays as the name copy the benchmark's
+# tracer wraps (perfbench/tests/test_benchmark.py::
+# test_no_gausslip_name_still_points_at_an_unwrapped_function)
+from .semigroup import ph_apply, ph_symbol  # noqa: F401
 
 DEFAULT_T_GRID = tuple(np.geomspace(0.0125, 4.0, 16))
 
@@ -80,14 +80,6 @@ def check_probe_dimension(d: int, what: str = "expansion") -> None:
         raise ValueError(f"the Lipschitz probes take d=1 input, got a d={d} {what}")
 
 
-@lru_cache(maxsize=32)
-def _grid_table(degree_cap: int, x_radius: float, grid_points: int) -> np.ndarray:
-    """Read-only Hermite table of the coarse sup-norm grid, built on first use."""
-    table = hermite_values_1d(degree_cap, np.linspace(-x_radius, x_radius, grid_points))
-    table.setflags(write=False)
-    return table
-
-
 def _sup_norms(fs, x_radius: float, grid_points: int) -> list:
     """``sup_norm_estimate`` of one callable, or of each row of a (K, N+1)
     coefficient array of d=1 expansions, which each pass evaluates together
@@ -97,12 +89,9 @@ def _sup_norms(fs, x_radius: float, grid_points: int) -> list:
     xs = np.linspace(-x_radius, x_radius, grid_points)
     if callable(fs):
         values = lambda p: eval_batch(fs, p.reshape(-1, 1)).reshape(p.shape[:-1])
-        vals = np.abs(values(xs[None, :, None]))
     else:
-        n_max = fs.shape[1] - 1
-        values = lambda p: eval_coefficients(fs, 1, n_max, p)
-        vals = np.abs(eval_coefficients(fs, 1, n_max, xs[None, :, None],
-                                        (_grid_table(n_max, x_radius, grid_points),)))
+        values = lambda p: eval_coefficients(fs, 1, fs.shape[1] - 1, p)
+    vals = np.abs(values(xs[None, :, None]))
     i = np.argmax(vals, axis=1)
     h = xs[1] - xs[0]
     # each function on its own window around its argmax
@@ -133,11 +122,9 @@ def _sups_with_f(e: HermiteExpansion, symbol: np.ndarray, x_radius: float,
     return _sup_norms(np.vstack([e.vector, e.vector * symbol]), x_radius, grid_points)
 
 
-def _derivative_sups(e: HermiteExpansion, order: int, t_grid, x_radius: float,
-                     grid_points: int) -> list:
-    """Sup-norms of f and of d^order/dt^order P_t f at each t of the grid."""
-    symbol = ph_symbol(np.array(t_grid)[:, None], np.arange(e.degree_cap + 1), order)
-    return _sups_with_f(e, symbol, x_radius, grid_points)
+def _derivative_symbol(e: HermiteExpansion, order: int, t_grid) -> np.ndarray:
+    """The (T, N+1) symbol of d^order/dt^order P_t at each t of the grid."""
+    return ph_symbol(np.array(t_grid)[:, None], np.arange(e.degree_cap + 1), order)
 
 
 def seminorm_estimate(f, alpha: float, t_grid=None, x_radius: float = 3.0, *,
@@ -157,8 +144,8 @@ def seminorm_estimate(f, alpha: float, t_grid=None, x_radius: float = 3.0, *,
     if n <= alpha:
         raise ValueError(f"derivative order n={n} must exceed alpha={alpha}")
     t_grid = _sorted_t_grid(t_grid)
-    sup_f, *sups = _derivative_sups(_as_expansion(f, degree_cap), n, t_grid, x_radius,
-                                    grid_points)
+    e = _as_expansion(f, degree_cap)
+    sup_f, *sups = _sups_with_f(e, _derivative_symbol(e, n, t_grid), x_radius, grid_points)
     flags = ["boundary"] if sup_f.boundary else []
     rows = [SeminormRow(t=t, sup_norm=sup.value, weighted=t ** (n - alpha) * sup.value)
             for t, sup in zip(t_grid, sups)]
@@ -277,8 +264,8 @@ def inclusion_probe(f, alpha1: float, alpha2: float, t_grid=None, *,
         raise ValueError("the probe requires 0 < alpha1 <= alpha2")
     n = smallest_integer_above(alpha2)
     t_grid = _sorted_t_grid(t_grid)
-    sups = _derivative_sups(_as_expansion(f, degree_cap), n, t_grid, x_radius,
-                            grid_points)[1:]
+    e = _as_expansion(f, degree_cap)
+    sups = _sup_norms(e.vector * _derivative_symbol(e, n, t_grid), x_radius, grid_points)
     sup_rows = [(t, sup.value) for t, sup in zip(t_grid, sups)]
     a1 = max((t ** (n - alpha1) * s for t, s in sup_rows), default=0.0)
     a2 = max((t ** (n - alpha2) * s for t, s in sup_rows), default=0.0)

@@ -46,6 +46,7 @@ def test_names_the_tracer_and_the_workloads_call():
                suites.run_suite, gausslip.report.write_report):
         assert callable(fn)
     # the name copies the tracer must find and wrap
+    assert lipschitz.ph_apply is semigroup.ph_apply
     assert suites.ph_apply is semigroup.ph_apply
     assert semigroup.integrate_halfline is quadrature.integrate_halfline
     assert fractional.integrate_halfline is quadrature.integrate_halfline

@@ -67,16 +67,6 @@ class TestHermiteEval:
                     worst = max(worst, float(abs(got - want) / mpmath.exp(x * x / 2)))
         assert worst <= 1e-14
 
-    def test_cached_coefficients_keep_the_recurrence_bit_identical(self):
-        xs = np.linspace(-3.0, 3.0, 121)
-        want = np.empty((41, xs.size))
-        want[0] = 1.0
-        want[1] = math.sqrt(2.0) * xs
-        for n in range(1, 40):
-            want[n + 1] = (math.sqrt(2.0 / (n + 1)) * xs * want[n]
-                           - math.sqrt(n / (n + 1.0)) * want[n - 1])
-        assert np.array_equal(hermite_values_1d(40, xs), want)
-
     def test_product_structure_in_two_dims(self):
         x = (0.4, -1.1)
         got = hermite_eval((2, 3), x)
@@ -212,8 +202,6 @@ class TestEvalExpansion:
             e = HermiteExpansion(d, n_max, v)
             assert np.array_equal(got_own[r], eval_expansion(e, own[r]))
             assert np.array_equal(got_shared[r], eval_expansion(e, shared[0]))
-        tables = [hermite_values_1d(n_max, shared[..., axis]) for axis in range(d)]
-        assert np.array_equal(eval_coefficients(vectors, d, n_max, shared, tables), got_shared)
 
     def test_two_dim_round_trip(self):
         rng = np.random.default_rng(0)

@@ -148,9 +148,8 @@ class TestBatchedRows:
         assert (seminorm_estimate(expansion, 0.5, sub).sup_norm_f
                 == seminorm_estimate(expansion, 0.5, T_GRID).sup_norm_f)
 
-    def test_warm_seminorm_builds_no_expansion_per_t_and_one_table(self, expansion,
-                                                                   monkeypatch):
-        seminorm_estimate(expansion, 0.5, T_GRID)  # builds the grid table
+    def test_seminorm_builds_no_expansion_per_t_and_one_table_per_pass(self, expansion,
+                                                                       monkeypatch):
         calls = {"tables": 0, "per_t": 0}
         real_table = hermite.hermite_values_1d
 
@@ -162,15 +161,15 @@ class TestBatchedRows:
             calls["per_t"] += 1
             raise AssertionError("a probe row built as its own expansion")
 
-        for mod in (hermite, lipschitz):
-            monkeypatch.setattr(mod, "hermite_values_1d", table, raising=False)
+        monkeypatch.setattr(hermite, "hermite_values_1d", table)
         for mod in (semigroup, lipschitz):
             monkeypatch.setattr(mod, "ph_apply", per_t, raising=False)
         for mod in (hermite, lipschitz):
             monkeypatch.setattr(mod, "scale_by_level", per_t, raising=False)
         est = seminorm_estimate(expansion, 0.5, T_GRID)
         assert len(est.rows) == 16
-        assert calls == {"tables": 1, "per_t": 0}
+        # f and the 16 rows share the coarse pass's table and the fine pass's table
+        assert calls == {"tables": 2, "per_t": 0}
 
 
 class TestModulusProbe:
