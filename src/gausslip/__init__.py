@@ -15,7 +15,6 @@ from .quadrature import (
 )
 from .hermite import (
     HermiteExpansion,
-    chaos_project,
     eval_expansion,
     expansion_from_json,
     expansion_to_json,

@@ -193,14 +193,6 @@ def as_function(e: HermiteExpansion):
     return lambda x: eval_expansion(e, x)
 
 
-def chaos_project(e: HermiteExpansion, n: int) -> HermiteExpansion:
-    """Projection J_n: keep exactly the coefficients with |nu| = n."""
-    if n < 0 or n > e.degree_cap:
-        raise ValueError(f"chaos level {n} outside [0, {e.degree_cap}]")
-    levels = _index_table(e.dimension, e.degree_cap)[1]
-    return HermiteExpansion(e.dimension, e.degree_cap, np.where(levels == n, e.vector, 0.0))
-
-
 def remove_mean(e: HermiteExpansion) -> HermiteExpansion:
     """Subtract the gamma-mean: zero the constant coefficient, keep the rest."""
     vector = e.vector.copy()

@@ -5,10 +5,13 @@ derivative of P_t f by t^{n-alpha}, n being the smallest integer above alpha.
 Sup-norms are grid proxies over [-R, R] (the probes take d = 1 input) with one
 local refinement pass (``supnorm_is_grid_proxy`` is stamped on every
 estimate); derivatives are taken spectrally, which is exact on the truncated
-expansion.  A probe gets its t-rows from one (T, N+1) symbol matrix, t down
-the column and the chaos level along the row: multiplied into the coefficient
-vector of f it gives the coefficients of every row, which are evaluated with
-f itself as row 0, all rows in one contraction per pass.
+expansion.  A probe gets its t-rows from (T, N+1) symbol matrices, t down the
+column and the chaos level along the row: multiplied into a coefficient
+vector they give the coefficients of every row.  Every row of a probe (f, its
+t-rows and, for the boundedness probe, op(f) and its rows on both t-grids) is
+one row of one coefficient array, and one sup-norm pass evaluates it: the
+coarse grid with one Hermite table, then one table for the refinement windows
+around the distinct coarse argmaxes, each contracted with only its own rows.
 
 Probes are stability checks with declared windows, not proofs.
 """
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional import FractionalSpec, apply_fractional, smallest_integer_above
+from . import hermite
 from .hermite import HermiteExpansion, eval_coefficients, project, remove_mean
 from .quadrature import default_rule, eval_batch
 # the probes call ph_symbol only; ph_apply stays as the name copy the benchmark's
@@ -82,26 +86,40 @@ def check_probe_dimension(d: int, what: str = "expansion") -> None:
 
 def _sup_norms(fs, x_radius: float, grid_points: int) -> list:
     """``sup_norm_estimate`` of one callable, or of each row of a (K, N+1)
-    coefficient array of d=1 expansions, which each pass evaluates together
-    with one contraction."""
+    coefficient array of d=1 expansions.
+
+    The coarse pass evaluates every row on one grid with one Hermite table.
+    The fine pass builds one table for the 41-point windows around the
+    distinct coarse argmaxes and contracts each window's table with only the
+    rows whose argmax it surrounds.
+    """
     if grid_points < 3:
         raise ValueError("need at least 3 grid points per axis")
     xs = np.linspace(-x_radius, x_radius, grid_points)
     if callable(fs):
-        values = lambda p: eval_batch(fs, p.reshape(-1, 1)).reshape(p.shape[:-1])
+        vals = np.abs(eval_batch(fs, xs[:, None]))[None]
     else:
-        values = lambda p: eval_coefficients(fs, 1, fs.shape[1] - 1, p)
-    vals = np.abs(values(xs[None, :, None]))
+        vals = np.abs(eval_coefficients(fs, 1, fs.shape[1] - 1, xs[None, :, None]))
     i = np.argmax(vals, axis=1)
+    # bincount, not np.unique: np.unique imports numpy.ma on first use
+    centers = np.flatnonzero(np.bincount(i, minlength=grid_points))
     h = xs[1] - xs[0]
-    # each function on its own window around its argmax
-    fine = np.linspace(np.maximum(-x_radius, xs[i] - h), np.minimum(x_radius, xs[i] + h),
-                       41, axis=1)
-    fvals = np.abs(values(fine[..., None]))
+    fine = np.linspace(np.maximum(-x_radius, xs[centers] - h),
+                       np.minimum(x_radius, xs[centers] + h), 41, axis=1)
+    if callable(fs):
+        fvals = np.abs(eval_batch(fs, fine.reshape(-1, 1))).reshape(fine.shape)
+    else:
+        table = hermite.hermite_values_1d(fs.shape[1] - 1, fine)
+        fvals = np.empty((len(fs), fine.shape[1]))
+        for w, center in enumerate(centers):
+            members = i == center
+            fvals[members] = np.abs(np.einsum("tn,nb->tb", fs[members], table[:, w]))
     j = np.argmax(fvals, axis=1)
-    return [SupNorm(value=float(max(fvals[r, j[r]], vals[r, i[r]])),
-                    location=float(fine[r, j[r]] if fvals[r, j[r]] >= vals[r, i[r]] else xs[i[r]]),
-                    boundary=bool(i[r] in (0, grid_points - 1))) for r in range(len(vals))]
+    coarse, refined = vals.max(axis=1), fvals.max(axis=1)
+    location = np.where(refined >= coarse, fine[np.searchsorted(centers, i), j], xs[i])
+    boundary = (i == 0) | (i == grid_points - 1)
+    return [SupNorm(value=v, location=x, boundary=b) for v, x, b in
+            zip(np.maximum(refined, coarse).tolist(), location.tolist(), boundary.tolist())]
 
 
 def sup_norm_estimate(f, x_radius: float = 3.0, grid_points: int = 121) -> SupNorm:
@@ -127,25 +145,21 @@ def _derivative_symbol(e: HermiteExpansion, order: int, t_grid) -> np.ndarray:
     return ph_symbol(np.array(t_grid)[:, None], np.arange(e.degree_cap + 1), order)
 
 
-def seminorm_estimate(f, alpha: float, t_grid=None, x_radius: float = 3.0, *,
-                      n: int | None = None, degree_cap: int = 40,
-                      grid_points: int = 121) -> LipschitzEstimate:
-    """Estimate A_alpha(f) = max over the t-grid of t^{n-alpha} sup |d^n_t P_t f|.
-
-    Flags ``non_convergent`` when the weighted rows are still rising at the
-    smallest t (evidence that f fails the Lipschitz condition of this order
-    at the grid resolution), and ``boundary`` when a sup-norm argmax landed
-    on the box edge.
-    """
+def _check_order(alpha: float, n: int | None) -> int:
+    """The derivative order n of an alpha-seminorm, by default the smallest
+    integer above alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if n is None:
         n = smallest_integer_above(alpha)
     if n <= alpha:
         raise ValueError(f"derivative order n={n} must exceed alpha={alpha}")
-    t_grid = _sorted_t_grid(t_grid)
-    e = _as_expansion(f, degree_cap)
-    sup_f, *sups = _sups_with_f(e, _derivative_symbol(e, n, t_grid), x_radius, grid_points)
+    return n
+
+
+def _estimate(alpha: float, n: int, t_grid: tuple, x_radius: float, sup_f: SupNorm,
+              sups) -> LipschitzEstimate:
+    """The estimate whose f row is ``sup_f`` and whose t-rows are ``sups``."""
     flags = ["boundary"] if sup_f.boundary else []
     rows = [SeminormRow(t=t, sup_norm=sup.value, weighted=t ** (n - alpha) * sup.value)
             for t, sup in zip(t_grid, sups)]
@@ -156,6 +170,23 @@ def seminorm_estimate(f, alpha: float, t_grid=None, x_radius: float = 3.0, *,
     return LipschitzEstimate(alpha=alpha, n=n, t_grid=t_grid, x_radius=x_radius,
                              a_alpha=a_alpha, sup_norm_f=sup_f.value,
                              rows=tuple(rows), flags=tuple(flags))
+
+
+def seminorm_estimate(f, alpha: float, t_grid=None, x_radius: float = 3.0, *,
+                      n: int | None = None, degree_cap: int = 40,
+                      grid_points: int = 121) -> LipschitzEstimate:
+    """Estimate A_alpha(f) = max over the t-grid of t^{n-alpha} sup |d^n_t P_t f|.
+
+    Flags ``non_convergent`` when the weighted rows are still rising at the
+    smallest t (evidence that f fails the Lipschitz condition of this order
+    at the grid resolution), and ``boundary`` when a sup-norm argmax landed
+    on the box edge.
+    """
+    n = _check_order(alpha, n)
+    t_grid = _sorted_t_grid(t_grid)
+    e = _as_expansion(f, degree_cap)
+    sup_f, *sups = _sups_with_f(e, _derivative_symbol(e, n, t_grid), x_radius, grid_points)
+    return _estimate(alpha, n, t_grid, x_radius, sup_f, sups)
 
 
 @dataclass(frozen=True)
@@ -221,10 +252,13 @@ def derivative_equivalence_probe(f, alpha: float, k: int, l: int, t_grid=None, *
     """
     if k <= alpha or l <= alpha:
         raise ValueError("both derivative orders must exceed alpha")
-    est_k = seminorm_estimate(f, alpha, t_grid, x_radius, n=k,
-                              degree_cap=degree_cap, grid_points=grid_points)
-    est_l = seminorm_estimate(f, alpha, t_grid, x_radius, n=l,
-                              degree_cap=degree_cap, grid_points=grid_points)
+    _check_order(alpha, k)  # alpha > 0
+    t_grid = _sorted_t_grid(t_grid)
+    e = _as_expansion(f, degree_cap)
+    symbol = np.vstack([_derivative_symbol(e, k, t_grid), _derivative_symbol(e, l, t_grid)])
+    sup_f, *sups = _sups_with_f(e, symbol, x_radius, grid_points)
+    est_k = _estimate(alpha, k, t_grid, x_radius, sup_f, sups[:len(t_grid)])
+    est_l = _estimate(alpha, l, t_grid, x_radius, sup_f, sups[len(t_grid):])
     # projection roundoff leaves ~1e-16 coefficients on exactly-flat inputs
     noise = 1e-12 * (1.0 + est_k.sup_norm_f)
     if est_k.a_alpha <= noise and est_l.a_alpha <= noise:
@@ -315,21 +349,36 @@ def operator_boundedness_probe(op: FractionalSpec, f_suite, alpha: float,
         target_alpha = alpha - op.beta
     else:
         target_alpha = alpha + op.beta
+    n = _check_order(alpha, None)
+    m = smallest_integer_above(target_alpha)
     t_grid = _sorted_t_grid(t_grid)
-    refined = tuple(np.geomspace(t_grid[0], t_grid[-1], 2 * len(t_grid)))
-    rows = []
-    stable = True
+    refined = _sorted_t_grid(np.geomspace(t_grid[0], t_grid[-1], 2 * len(t_grid)))
+    # per f: f, its t-rows, op(f), its t-rows and its rows on the refined grid
+    names, blocks = [], []
     for name, f in f_suite:
         e = _as_expansion(f, degree_cap)
         if op.kind == "riesz_potential" and op.representation == "integral":
             e = remove_mean(e)
-        source = seminorm_estimate(e, alpha, t_grid, x_radius,
-                                   degree_cap=degree_cap, grid_points=grid_points)
-        image = apply_fractional(e, op)
-        target = seminorm_estimate(image, target_alpha, t_grid, x_radius,
-                                   degree_cap=degree_cap, grid_points=grid_points)
-        target_ref = seminorm_estimate(image, target_alpha, refined, x_radius,
-                                       degree_cap=degree_cap, grid_points=grid_points)
+        image = apply_fractional(e, op).vector
+        names.append(name)
+        blocks.append(np.vstack([e.vector, e.vector * _derivative_symbol(e, n, t_grid),
+                                 image, image * _derivative_symbol(e, m, t_grid),
+                                 image * _derivative_symbol(e, m, refined)]))
+    # expansions of a lower degree cap are padded with zero coefficients
+    size, width = len(t_grid), 2 + 2 * len(t_grid) + len(refined)
+    stacked = np.zeros((len(blocks) * width, max((b.shape[1] for b in blocks), default=1)))
+    for r, block in enumerate(blocks):
+        stacked[r * width:(r + 1) * width, :block.shape[1]] = block
+    sups = _sup_norms(stacked, x_radius, grid_points)
+    rows = []
+    stable = True
+    for r, name in enumerate(names):
+        block = sups[r * width:(r + 1) * width]
+        source = _estimate(alpha, n, t_grid, x_radius, block[0], block[1:1 + size])
+        target = _estimate(target_alpha, m, t_grid, x_radius, block[1 + size],
+                           block[2 + size:2 + 2 * size])
+        target_ref = _estimate(target_alpha, m, refined, x_radius, block[1 + size],
+                               block[2 + 2 * size:])
         src_norm = source.sup_norm_f + source.a_alpha
         flags = tuple(sorted(set(source.flags) | set(target.flags)))
         if src_norm == 0.0:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gausslip.hermite import (
     HermiteExpansion,
-    chaos_project,
     eval_coefficients,
     eval_expansion,
     expansion_from_json,
@@ -213,30 +212,6 @@ class TestEvalExpansion:
 
 
 class TestChaosAndMean:
-    def test_level_zero_keeps_constant(self):
-        e = HermiteExpansion(1, 3, {(0,): 2.5, (1,): 1.0, (3,): -0.5})
-        j0 = chaos_project(e, 0)
-        assert j0.coefficients == {(0,): 2.5}
-
-    def test_idempotent_on_pure_chaos(self):
-        e = project(lambda p: hermite_eval((2,), p), 1, 4)
-        j2 = chaos_project(e, 2)
-        assert j2.coefficient((2,)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_levels_partition_expansion(self):
-        rng = np.random.default_rng(1)
-        coeffs = {nu: float(rng.uniform(-1, 1)) for nu in graded_indices(2, 4)}
-        e = HermiteExpansion(2, 4, coeffs)
-        acc: dict = {}
-        for n in range(5):
-            acc.update(chaos_project(e, n).coefficients)
-        assert acc == e.coefficients
-
-    def test_level_beyond_cap_rejected(self):
-        e = HermiteExpansion(1, 3, {(1,): 1.0})
-        with pytest.raises(ValueError):
-            chaos_project(e, 4)
-
     def test_remove_mean(self):
         e = HermiteExpansion(1, 2, {(0,): 3.0, (2,): 0.5})
         out = remove_mean(e)

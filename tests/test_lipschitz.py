@@ -6,8 +6,15 @@ import pytest
 
 from gausslip import hermite, lipschitz, semigroup
 from gausslip.catalog import catalog_function
-from gausslip.fractional import FractionalSpec
-from gausslip.hermite import HermiteExpansion, eval_expansion, project, scale_by_level
+from gausslip.fractional import FractionalSpec, apply_fractional
+from gausslip.hermite import (
+    HermiteExpansion,
+    eval_coefficients,
+    eval_expansion,
+    project,
+    remove_mean,
+    scale_by_level,
+)
 from gausslip.lipschitz import (
     COMPARABILITY_WINDOW,
     STABILITY_DRIFT,
@@ -26,6 +33,18 @@ T_GRID = tuple(np.geomspace(0.0125, 4.0, 16))
 
 def _cos():
     return catalog_function("cos:1")[1]
+
+
+def _rough(degree_cap=40, seed=3):
+    rng = np.random.default_rng(seed)
+    return HermiteExpansion(1, degree_cap, {(n,): float(rng.uniform(-1, 1)) * (1.0 + n) ** -0.6
+                                            for n in range(degree_cap + 1)})
+
+
+def _coarse_windows(fs, x_radius=3.0, grid_points=121):
+    """The coarse argmax index of each row of a coefficient array."""
+    xs = np.linspace(-x_radius, x_radius, grid_points)
+    return np.abs(eval_coefficients(fs, 1, fs.shape[1] - 1, xs[None, :, None])).argmax(axis=1)
 
 
 class TestSupNorm:
@@ -120,9 +139,7 @@ class TestBatchedRows:
     def expansion(self, request):
         if request.param == "cos":
             return project(_cos(), 1, 40)
-        rng = np.random.default_rng(3)
-        return HermiteExpansion(1, 40, {(n,): float(rng.uniform(-1, 1)) * (1.0 + n) ** -0.6
-                                        for n in range(41)})
+        return _rough()
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_seminorm_rows(self, expansion, alpha):
@@ -147,6 +164,21 @@ class TestBatchedRows:
             assert [row == full[row.t] for row in probe(sub).rows] == [True] * 3
         assert (seminorm_estimate(expansion, 0.5, sub).sup_norm_f
                 == seminorm_estimate(expansion, 0.5, T_GRID).sup_norm_f)
+        # one boundedness probe's 66 rows of f: rows that share a refinement
+        # window inside the batch give what they give alone
+        image = apply_fractional(expansion, FractionalSpec("bessel_potential", 0.5)).vector
+        refined = np.geomspace(T_GRID[0], T_GRID[-1], 2 * len(T_GRID))
+        batch = np.vstack([expansion.vector,
+                           expansion.vector * lipschitz._derivative_symbol(expansion, 1, T_GRID),
+                           image, image * lipschitz._derivative_symbol(expansion, 1, T_GRID),
+                           image * lipschitz._derivative_symbol(expansion, 1, refined)])
+        assert batch.shape == (66, 41)
+        windows = _coarse_windows(batch)
+        shared = [r for r in range(66) if np.count_nonzero(windows == windows[r]) > 1]
+        assert len(shared) >= 10
+        sups = lipschitz._sup_norms(batch, 3.0, 121)
+        assert [sups[r] == lipschitz._sup_norms(batch[r:r + 1], 3.0, 121)[0]
+                for r in shared] == [True] * len(shared)
 
     def test_seminorm_builds_no_expansion_per_t_and_one_table_per_pass(self, expansion,
                                                                        monkeypatch):
@@ -170,6 +202,110 @@ class TestBatchedRows:
         assert len(est.rows) == 16
         # f and the 16 rows share the coarse pass's table and the fine pass's table
         assert calls == {"tables": 2, "per_t": 0}
+
+
+class TestOnePassPerProbe:
+    """A probe takes every sup-norm from one ``_sup_norms`` call, which builds
+    one Hermite table for the coarse grid and one for the refinement windows
+    around the distinct coarse argmaxes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"sup_norms": [], "tables": []}
+        real_sup_norms, real_table = lipschitz._sup_norms, hermite.hermite_values_1d
+
+        def sup_norms(fs, *args):
+            calls["sup_norms"].append(fs)
+            return real_sup_norms(fs, *args)
+
+        def table(n_max, x):
+            calls["tables"].append(np.shape(x))
+            return real_table(n_max, x)
+
+        monkeypatch.setattr(lipschitz, "_sup_norms", sup_norms)
+        monkeypatch.setattr(hermite, "hermite_values_1d", table)
+        return calls
+
+    def test_boundedness_probe(self, calls):
+        suite = [("cos", project(_cos(), 1, 40)), ("rough", _rough())]
+        calls["tables"].clear()
+        rep = operator_boundedness_probe(FractionalSpec("bessel_potential", 0.5), suite,
+                                         0.4, T_GRID)
+        assert len(rep.rows) == 2
+        assert len(calls["sup_norms"]) == 1
+        (fs,) = calls["sup_norms"]
+        assert fs.shape == (2 * 66, 41)
+        coarse, fine = calls["tables"]
+        assert coarse == (1, 121)
+        distinct = len(set(_coarse_windows(fs).tolist()))
+        assert fine == (distinct, 41) and distinct < len(fs)
+
+    def test_equivalence_probe(self, calls):
+        e = _rough()
+        calls["tables"].clear()
+        derivative_equivalence_probe(e, 0.5, 1, 2, T_GRID)
+        assert len(calls["sup_norms"]) == 1
+        (fs,) = calls["sup_norms"]
+        assert fs.shape == (1 + 2 * len(T_GRID), 41)
+        coarse, fine = calls["tables"]
+        assert coarse == (1, 121)
+        assert fine == (len(set(_coarse_windows(fs).tolist())), 41)
+
+
+class TestProbesMatchSeminormEstimate:
+    """The one-pass probes give, bit for bit, what ``seminorm_estimate`` gives
+    on the same inputs."""
+
+    SUITE = (("cos", project(_cos(), 1, 40)), ("rough", _rough()))
+
+    @pytest.mark.parametrize("kind, beta, alpha, representation", [
+        ("bessel_potential", 0.5, 0.4, "spectral"),
+        ("riesz_derivative", 0.3, 0.9, "spectral"),
+        ("bessel_derivative", 1.5, 2.2, "spectral"),
+        ("riesz_potential", 0.5, 0.5, "integral"),
+    ])
+    def test_boundedness_rows(self, kind, beta, alpha, representation):
+        spec = FractionalSpec(kind, beta, representation=representation)
+        rep = operator_boundedness_probe(spec, self.SUITE, alpha, T_GRID)
+        refined = np.geomspace(T_GRID[0], T_GRID[-1], 2 * len(T_GRID))
+        for row, (name, e) in zip(rep.rows, self.SUITE):
+            if representation == "integral":
+                e = remove_mean(e)
+            image = apply_fractional(e, spec)
+            source = seminorm_estimate(e, alpha, T_GRID)
+            target = seminorm_estimate(image, rep.target_alpha, T_GRID)
+            target_ref = seminorm_estimate(image, rep.target_alpha, refined)
+            assert row.name == name
+            assert row.source_norm == source.sup_norm_f + source.a_alpha
+            assert row.target_seminorm == target.a_alpha
+            assert row.refined_seminorm == target_ref.a_alpha
+            assert row.flags == tuple(sorted(set(source.flags) | set(target.flags)))
+
+    @pytest.mark.parametrize("alpha, k, l", [(0.5, 1, 2), (1.5, 3, 2)])
+    def test_equivalence_orders(self, alpha, k, l):
+        for _, e in self.SUITE:
+            rep = derivative_equivalence_probe(e, alpha, k, l, T_GRID)
+            assert rep.a_k == seminorm_estimate(e, alpha, T_GRID, n=k).a_alpha
+            assert rep.a_l == seminorm_estimate(e, alpha, T_GRID, n=l).a_alpha
+
+    def test_mixed_degree_caps(self):
+        spec = FractionalSpec("riesz_derivative", 0.3)
+        suite = [("n20", _rough(20, seed=4)), ("n40", _rough(40))]
+        together = operator_boundedness_probe(spec, suite, 0.9, T_GRID).rows
+        alone = tuple(operator_boundedness_probe(spec, [pair], 0.9, T_GRID).rows[0]
+                      for pair in suite)
+        assert repr(together) == repr(alone)
+
+    def test_rows_are_plain_floats(self):
+        spec = FractionalSpec("bessel_potential", 0.5)
+        rep = operator_boundedness_probe(spec, self.SUITE, 0.4, T_GRID)
+        for row in rep.rows:
+            for field in ("source_norm", "target_seminorm", "refined_seminorm", "ratio",
+                          "drift"):
+                assert type(getattr(row, field)) is float
+        est = seminorm_estimate(self.SUITE[0][1], 0.5, np.geomspace(0.1, 2.0, 5))
+        assert all(type(t) is float for t in est.t_grid)
+        assert all(type(r.t) is float and type(r.weighted) is float for r in est.rows)
 
 
 class TestModulusProbe:
