@@ -162,29 +162,26 @@ def project(f, d: int, n_max: int, rule: QuadratureRule | None = None) -> Hermit
 
 def eval_coefficients(vectors, d: int, n_max: int, x) -> np.ndarray:
     """Values of the expansions whose coefficient vectors over
-    ``graded_indices(d, n_max)`` are the rows of ``vectors`` (K, M), each at its
-    own points ``x`` of shape ``(K or 1, *batch, d)``, as ``(K, *batch)``.
+    ``graded_indices(d, n_max)`` are the rows of ``vectors`` (K, M), all at the
+    same points ``x`` of shape ``(*batch, d)``, as ``(K, *batch)``.
 
-    The coefficients are contracted with the Hermite table of each axis in
-    turn.
+    The coefficients are contracted with the (n_max+1, P) Hermite table of
+    each axis in turn, P the number of points.
     """
     vectors = np.asarray(vectors, dtype=float)
     pts = as_points(x, d)
     acc = np.zeros((len(vectors),) + (n_max + 1,) * d)
     acc[(slice(None),) + tuple(_index_table(d, n_max)[0].T)] = vectors
-    subscripts = "t...n,ntb->t...b"
+    subscripts = "t...n,nb->t...b"
     for axis in range(d - 1, -1, -1):
-        table = hermite_values_1d(n_max, pts[..., axis]).reshape(n_max + 1, pts.shape[0], -1)
-        table = np.broadcast_to(table, (n_max + 1, len(vectors), table.shape[2]))
-        acc = np.einsum(subscripts, acc, table)
-        subscripts = "t...nb,ntb->t...b"
-    return acc.reshape((len(vectors),) + pts.shape[1:-1])
+        acc = np.einsum(subscripts, acc, hermite_values_1d(n_max, pts[..., axis].reshape(-1)))
+        subscripts = "t...nb,nb->t...b"
+    return acc.reshape((len(vectors),) + pts.shape[:-1])
 
 
 def eval_expansion(e: HermiteExpansion, x):
     """Partial-sum value sum_{|nu|<=N} fhat(nu) h_nu(x); linear in coefficients."""
-    vals = eval_coefficients(e.vector[None], e.dimension, e.degree_cap,
-                             as_points(x, e.dimension)[None])[0]
+    vals = eval_coefficients(e.vector[None], e.dimension, e.degree_cap, x)[0]
     return point_or_batch(x, vals, e.dimension)
 
 

@@ -68,7 +68,11 @@ class LipschitzEstimate:
 
 
 def _sorted_t_grid(t_grid) -> tuple:
-    return tuple(sorted(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID)))
+    """The t-grid in increasing order: a nonempty sequence of finite t > 0."""
+    ts = tuple(sorted(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID)))
+    if not ts or not all(0 < t < math.inf for t in ts):
+        raise ValueError(f"the t-grid must be nonempty, of finite t > 0, got {ts}")
+    return ts
 
 
 def _as_expansion(f, degree_cap: int = 40) -> HermiteExpansion:
@@ -95,11 +99,13 @@ def _sup_norms(fs, x_radius: float, grid_points: int) -> list:
     """
     if grid_points < 3:
         raise ValueError("need at least 3 grid points per axis")
+    if not 0 < x_radius < math.inf:
+        raise ValueError(f"x_radius must be positive and finite, got {x_radius}")
     xs = np.linspace(-x_radius, x_radius, grid_points)
     if callable(fs):
         vals = np.abs(eval_batch(fs, xs[:, None]))[None]
     else:
-        vals = np.abs(eval_coefficients(fs, 1, fs.shape[1] - 1, xs[None, :, None]))
+        vals = np.abs(eval_coefficients(fs, 1, fs.shape[1] - 1, xs[:, None]))
     i = np.argmax(vals, axis=1)
     # bincount, not np.unique: np.unique imports numpy.ma on first use
     centers = np.flatnonzero(np.bincount(i, minlength=grid_points))
@@ -148,12 +154,14 @@ def _derivative_symbol(e: HermiteExpansion, order: int, t_grid) -> np.ndarray:
 def _check_order(alpha: float, n: int | None) -> int:
     """The derivative order n of an alpha-seminorm, by default the smallest
     integer above alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if n is None:
         n = smallest_integer_above(alpha)
+    if not float(n).is_integer():
+        raise ValueError(f"derivative order {n} must be an integer")
     if n <= alpha:
-        raise ValueError(f"derivative order n={n} must exceed alpha={alpha}")
+        raise ValueError(f"derivative order {n} must exceed alpha={alpha}")
     return n
 
 
@@ -164,7 +172,7 @@ def _estimate(alpha: float, n: int, t_grid: tuple, x_radius: float, sup_f: SupNo
     rows = [SeminormRow(t=t, sup_norm=sup.value, weighted=t ** (n - alpha) * sup.value)
             for t, sup in zip(t_grid, sups)]
     weighted = [r.weighted for r in rows]
-    a_alpha = max(weighted) if weighted else 0.0
+    a_alpha = max(weighted)
     if len(rows) >= 2 and weighted[0] == a_alpha and weighted[0] > 1.02 * weighted[1] > 0:
         flags.append("non_convergent")
     return LipschitzEstimate(alpha=alpha, n=n, t_grid=t_grid, x_radius=x_radius,
@@ -213,10 +221,9 @@ def modulus_probe(f, alpha: float, n: int | None = None, t_grid=None, *,
 
     Also checks the universal ceiling ||(P_t - I)^n f|| <= 2^n ||f||.
     """
+    n = _check_order(alpha, n)
     if float(alpha).is_integer():
         raise ValueError("the modulus probe requires non-integer alpha")
-    if n is None:
-        n = smallest_integer_above(alpha)
     t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
     # (P_t - I)^n acts on chaos level m by (e^{-sqrt(m) t} - 1)^n
@@ -225,7 +232,7 @@ def modulus_probe(f, alpha: float, n: int | None = None, t_grid=None, *,
     rows = tuple(ModulusRow(t=t, norm=norm, ratio=norm / t ** alpha)
                  for t, norm in zip(t_grid, norms))
     return ModulusReport(alpha=alpha, n=n, rows=rows,
-                         max_ratio=max(r.ratio for r in rows) if rows else 0.0,
+                         max_ratio=max(r.ratio for r in rows),
                          ceiling=2.0 ** n * sup_f,
                          ceiling_ok=all(norm <= 2.0 ** n * sup_f + 1e-8 for norm in norms))
 
@@ -247,12 +254,10 @@ def derivative_equivalence_probe(f, alpha: float, k: int, l: int, t_grid=None, *
                                  grid_points: int = 121) -> EquivalenceReport:
     """Compare the seminorm computed with derivative orders k and l.
 
-    Both orders must exceed alpha; the probe passes when the two estimates
-    are within the declared comparability window (or both vanish).
+    Both orders must be integers above alpha; the probe passes when the two
+    estimates are within the declared comparability window (or both vanish).
     """
-    if k <= alpha or l <= alpha:
-        raise ValueError("both derivative orders must exceed alpha")
-    _check_order(alpha, k)  # alpha > 0
+    k, l = _check_order(alpha, k), _check_order(alpha, l)
     t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
     symbol = np.vstack([_derivative_symbol(e, k, t_grid), _derivative_symbol(e, l, t_grid)])
@@ -296,13 +301,13 @@ def inclusion_probe(f, alpha1: float, alpha2: float, t_grid=None, *,
     """
     if not 0 < alpha1 <= alpha2:
         raise ValueError("the probe requires 0 < alpha1 <= alpha2")
-    n = smallest_integer_above(alpha2)
+    n = _check_order(alpha2, None)
     t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
     sups = _sup_norms(e.vector * _derivative_symbol(e, n, t_grid), x_radius, grid_points)
     sup_rows = [(t, sup.value) for t, sup in zip(t_grid, sups)]
-    a1 = max((t ** (n - alpha1) * s for t, s in sup_rows), default=0.0)
-    a2 = max((t ** (n - alpha2) * s for t, s in sup_rows), default=0.0)
+    a1 = max(t ** (n - alpha1) * s for t, s in sup_rows)
+    a2 = max(t ** (n - alpha2) * s for t, s in sup_rows)
     c_remark = max((t ** n * s for t, s in sup_rows if t >= 1.0), default=0.0)
     bound = max(a2, c_remark)
     return InclusionReport(alpha1=alpha1, alpha2=alpha2, n=n, a_alpha1=a1,

@@ -45,8 +45,9 @@ together, one array per axis with a row per point whose end carries zero
 weights; f is evaluated once per call, at the nodes of nonzero weight only,
 and at each s-node the Mehler kernel, a product of 1-d kernels, is applied to
 f on the tensor y-grids one axis at a time.  The pointwise kernels
-``ph_kernel`` / ``ph_kernel_time_derivative`` and the L^1 routine keep the
-s-integral inside, since |p| is needed pointwise there.
+``ph_kernel`` / ``ph_kernel_time_derivative`` run one s-integral per call
+whose payload is every (x, y) pair of the broadcast batches; the L^1 routine
+passes its one x through the same payload, since it needs |p| pointwise in y.
 
 Pointwise callables follow the batch contract of ``quadrature.eval_batch``:
 point batches of shape (n, d) in, shape (n,) out.
@@ -136,11 +137,8 @@ def mehler_kernel(t: float, x, y, d: int = 1):
     ``x`` and ``y`` broadcast as point batches; returns the batch of kernel
     values (float for a single pair).
     """
-    if not 0 < t < math.inf:
-        raise ValueError("time t must be positive and finite for the kernel representation")
-    X = as_points(x, d)
-    Y = as_points(y, d)
-    out = _mehler_from_s(t, X, Y, d)
+    _check_time(t)
+    out = _mehler_from_s(t, as_points(x, d), as_points(y, d), d)
     if out.shape == ():
         return float(out)
     return out
@@ -148,8 +146,7 @@ def mehler_kernel(t: float, x, y, d: int = 1):
 
 def stable_density(t: float, s):
     """Density g(t, s) of the one-sided stable measure of order 1/2, t > 0."""
-    if not 0 < t < math.inf:
-        raise ValueError("time t must be positive and finite")
+    _check_time(t)
     arr = np.asarray(s, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("the stable density lives on s > 0")
@@ -180,6 +177,11 @@ def _stable_weight_factor(t: float, s: np.ndarray, k: int) -> np.ndarray:
     else:
         poly = -1.5 / s + 1.5 * t * t / (s * s) - t ** 4 / (8.0 * s ** 3)
     return poly * expo
+
+
+def _check_time(t: float) -> None:
+    if not 0 < t < math.inf:
+        raise ValueError("time t must be positive and finite")
 
 
 def _check_kernel_order(k: int) -> None:
@@ -351,6 +353,31 @@ def _mehler_contract(s: np.ndarray, pts: np.ndarray, axes, F: np.ndarray) -> np.
 
 
 # ----------------------------------------------------------------------------
+# Pointwise callables
+# ----------------------------------------------------------------------------
+
+def _callable(f, d: int):
+    """``f`` as a pointwise callable and its dimension; an expansion is
+    wrapped and brings its own."""
+    if isinstance(f, HermiteExpansion):
+        return as_function(f), f.dimension
+    return f, d
+
+
+def _pointwise(d: int, values):
+    """The batch-contract callable whose values at a nonempty (n, d) point
+    array ``pts`` are ``values(pts)``, shape (n,)."""
+
+    def apply(x):
+        pts = as_points(x, d).reshape(-1, d)
+        if pts.shape[0] == 0:
+            return np.empty(0)
+        return point_or_batch(x, values(pts), d)
+
+    return apply
+
+
+# ----------------------------------------------------------------------------
 # Ornstein-Uhlenbeck semigroup
 # ----------------------------------------------------------------------------
 
@@ -367,60 +394,36 @@ def ou_apply(f, q: SemigroupQuery, *, d: int = 1):
         return scale_by_level(f, lambda n: np.exp(-t * n))
     if q.method != "kernel":
         raise ValueError("ou_apply supports the spectral and kernel methods")
-    func = as_function(f) if isinstance(f, HermiteExpansion) else f
-    dim = f.dimension if isinstance(f, HermiteExpansion) else d
+    func, dim = _callable(f, d)
     s = np.array([q.t])
     nodes = tensor_nodes(default_rule(), dim)
-
-    def apply_at(x):
-        pts = as_points(x, dim).reshape(-1, dim)
-        if pts.shape[0] == 0:
-            return np.empty(0)
-        return point_or_batch(x, _mehler_gauss_hermite(func, s, pts, nodes)[0], dim)
-
-    return apply_at
+    return _pointwise(dim, lambda pts: _mehler_gauss_hermite(func, s, pts, nodes)[0])
 
 
 # ----------------------------------------------------------------------------
 # Poisson-Hermite kernel p(t, x, y) and its t-derivatives
 # ----------------------------------------------------------------------------
 
-def _ph_kernel_payload(t: float, x_pt: np.ndarray, Y: np.ndarray, d: int,
+def _ph_kernel_payload(t: float, X: np.ndarray, Y: np.ndarray, d: int,
                        k: int, tol: float) -> np.ndarray:
-    """Integrate g-factor(t, s) * mehler(s, x, y) over s for a batch of y."""
-    return _subordinate(t, k, lambda s: _mehler_from_s(
-        s[:, None], x_pt[None, None, :], Y[None, :, :], d), tol)
-
-
-def _point_batches(x, y, d: int):
-    X = as_points(x, d)
-    Y = as_points(y, d)
-    batch = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])
-    single = (np.asarray(x).ndim <= 1 and np.asarray(y).ndim <= 1
-              and batch in ((), (1,)))
-    Xb = np.broadcast_to(X, batch + (d,)).reshape(-1, d)
-    Yb = np.broadcast_to(Y, batch + (d,)).reshape(-1, d)
-    return Xb, Yb, batch, single
+    """∫ d^k/dt^k g(t, s) mehler(s, x_i, y_i) ds for the (P, d) point pairs
+    (X_i, Y_i), as one s-integral with a payload component per pair."""
+    return _subordinate(t, k, lambda s: _mehler_from_s(s[:, None], X[None], Y[None], d), tol)
 
 
 def _ph_kernel_values(t: float, x, y, d: int, k: int, tol: float):
     """d^k/dt^k p(t, x, y) on broadcast point batches (k = 0: the kernel)."""
-    if not 0 < t < math.inf:
-        raise ValueError("time t must be positive and finite for the kernel representation")
+    _check_time(t)
     _check_kernel_order(k)
-    Xb, Yb, batch, single = _point_batches(x, y, d)
-    _check_finite_points(Xb)
-    _check_finite_points(Yb)
-
-    # Group by x-point so each s-integral carries the whole y-batch.
-    out = np.empty(Xb.shape[0])
-    seen: dict = {}
-    for i in range(Xb.shape[0]):
-        seen.setdefault(tuple(Xb[i]), []).append(i)
-    for idx in seen.values():
-        rows = np.asarray(idx)
-        out[rows] = _ph_kernel_payload(t, Xb[rows[0]], Yb[rows], d, k, tol)
-    if single:
+    X = as_points(x, d)
+    Y = as_points(y, d)
+    batch = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])
+    X = np.broadcast_to(X, batch + (d,)).reshape(-1, d)
+    Y = np.broadcast_to(Y, batch + (d,)).reshape(-1, d)
+    _check_finite_points(X)
+    _check_finite_points(Y)
+    out = _ph_kernel_payload(t, X, Y, d, k, tol) if X.size else np.empty(0)
+    if np.ndim(x) <= 1 and np.ndim(y) <= 1 and batch in ((), (1,)):
         return float(out[0])
     return out.reshape(batch)
 
@@ -494,32 +497,20 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
             return scale_by_level(
                 f, lambda n: _subordination_multiplier(t, tuple(n.tolist()), tol))
         nodes = tensor_nodes(default_rule(), d)
-
-        def apply_sub(x):
-            pts = as_points(x, d).reshape(-1, d)
-            if pts.shape[0] == 0:
-                return np.empty(0)
-            vals = _subordinate(t, 0, lambda s: _mehler_gauss_hermite(f, s, pts, nodes), tol)
-            return point_or_batch(x, vals, d)
-
-        return apply_sub
+        return _pointwise(d, lambda pts: _subordinate(
+            t, 0, lambda s: _mehler_gauss_hermite(f, s, pts, nodes), tol))
 
     # kernel method
-    func = as_function(f) if isinstance(f, HermiteExpansion) else f
-    dim = f.dimension if isinstance(f, HermiteExpansion) else d
+    func, dim = _callable(f, d)
     _check_kernel_order(k)
 
-    def apply_kernel(x):
-        pts = as_points(x, dim).reshape(-1, dim)
-        if pts.shape[0] == 0:
-            return np.empty(0)
+    def kernel_values(pts):
         axes, F = _ph_graded_grids(t, pts, func)
         # Fubini: the y-quadrature runs inside the s-integrand, so the error
         # control acts on the values d^k/dt^k P_t f(x) themselves
-        vals = _subordinate(t, k, lambda s: _mehler_contract(s, pts, axes, F), tol)
-        return point_or_batch(x, vals, dim)
+        return _subordinate(t, k, lambda s: _mehler_contract(s, pts, axes, F), tol)
 
-    return apply_kernel
+    return _pointwise(dim, kernel_values)
 
 
 def _weight_mass_constant(k: int) -> float:
@@ -546,8 +537,7 @@ def derivative_weight_mass(t: float, k: int) -> float:
     C_1 = 4/sqrt(2 pi e) <= 2, C_2 = 1.8501639576452313 and
     C_3 = 6.1445366794509875, in closed form (``_weight_mass_constant``).
     """
-    if not 0 < t < math.inf:
-        raise ValueError("time t must be positive and finite")
+    _check_time(t)
     if not 1 <= k <= 3:
         raise ValueError("derivative weight mass supports 1 <= k <= 3")
     return _weight_mass_constant(k) / t ** k
@@ -561,14 +551,9 @@ def kernel_derivative_l1(t: float, x: float, k: int, tol: float = 1e-8) -> Kerne
     ∫_{|y|>R} mehler(s, x, y) dy <= erfc(R - |x|) uniformly in s, times the
     total |.|-mass of the k-th derivative of the subordination weight.
     """
-    if not 0 < t < math.inf:
-        raise ValueError("time t must be positive and finite")
-    if not 1 <= k <= 3:
-        raise ValueError("kernel_derivative_l1 supports 1 <= k <= 3")
+    mass = derivative_weight_mass(t, k)  # checks t and k
     x = float(x)
     R = _Y_MARGIN + 2.0 * abs(x)
     (y,), (wy,) = _graded_panels(t, np.array([x]), np.array([-R]), np.array([R]))
-    vals = _ph_kernel_payload(t, np.array([x]), y[:, None], 1, k, tol)
-    value = float(np.dot(wy, np.abs(vals)))
-    tail = derivative_weight_mass(t, k) * math.erfc(R - abs(x))
-    return KernelL1(value=value, tail_bound=tail)
+    vals = _ph_kernel_payload(t, np.full((y.size, 1), x), y[:, None], 1, k, tol)
+    return KernelL1(value=float(np.dot(wy, np.abs(vals))), tail_bound=mass * math.erfc(R - abs(x)))

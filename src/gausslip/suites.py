@@ -382,15 +382,17 @@ def _c_beta_sign(beta: float, k: int) -> float:
     return -((-1.0) ** k) * frac.c_beta_constant(beta, k)
 
 
+def _level_action(kind: str, beta: float, n: int, representation: str) -> float:
+    """``apply_fractional`` on h_n, read back at level n."""
+    h_n = HermiteExpansion(1, max(n, 1), {(n,): 1.0})
+    spec = frac.FractionalSpec(kind, beta, representation)
+    return frac.apply_fractional(h_n, spec).coefficient((n,))
+
+
 def _eigenvalue(kind: str, beta: float, n: int, representation: str) -> dict:
     """One eigenvalue-table entry against ``eigenvalue_oracle``."""
-    if representation == "integral":
-        spec = frac.FractionalSpec(kind=kind, beta=beta, representation="integral")
-        got = float(frac._integral_eigenvalue(kind, beta, spec.k, (n,), spec.tol)[0])
-    else:
-        out = _spectral(HermiteExpansion(1, max(n, 1), {(n,): 1.0}), kind, beta)
-        got = out.coefficient((n,))
-    return {"computed": got, "oracle": frac.eigenvalue_oracle(kind, beta, n, representation)}
+    return {"computed": _level_action(kind, beta, n, representation),
+            "oracle": frac.eigenvalue_oracle(kind, beta, n, representation)}
 
 
 def _riesz_inverse_dev(e: HermiteExpansion, beta: float) -> float:
@@ -403,8 +405,7 @@ def _representation_agreement(kind: str) -> float:
     """Worst relative gap, integral vs spectral eigenvalues, beta = 0.5, n = 1..9."""
     worst = 0.0
     for n in range(1, 10):
-        spec = frac.FractionalSpec(kind=kind, beta=0.5, representation="integral")
-        got = float(frac._integral_eigenvalue(kind, 0.5, spec.k, (n,), spec.tol)[0])
+        got = _level_action(kind, 0.5, n, "integral")
         want = frac.eigenvalue_oracle(kind, 0.5, n, "spectral")
         worst = max(worst, abs(got - want) / abs(want))
     return worst
@@ -425,8 +426,7 @@ def suite_fractional(config: SuiteConfig) -> list:
 
     # the two Bessel-potential representations act differently; exhibit it
     spectral = cache(lambda: frac.eigenvalue_oracle("bessel_potential", 1.0, 1, "spectral"))
-    subordinated = cache(
-        lambda: float(frac._integral_eigenvalue("bessel_potential", 1.0, 2, (1,), 1e-9)[0]))
+    subordinated = cache(partial(_level_action, "bessel_potential", 1.0, 1, "integral"))
     rng = np.random.default_rng(config.seed)
     e = HermiteExpansion(1, 12, {(n,): float(rng.uniform(-1, 1)) for n in range(13)})
     return specs + [

@@ -44,7 +44,7 @@ def _rough(degree_cap=40, seed=3):
 def _coarse_windows(fs, x_radius=3.0, grid_points=121):
     """The coarse argmax index of each row of a coefficient array."""
     xs = np.linspace(-x_radius, x_radius, grid_points)
-    return np.abs(eval_coefficients(fs, 1, fs.shape[1] - 1, xs[None, :, None])).argmax(axis=1)
+    return np.abs(eval_coefficients(fs, 1, fs.shape[1] - 1, xs[:, None])).argmax(axis=1)
 
 
 class TestSupNorm:
@@ -77,6 +77,56 @@ class TestSupNorm:
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):
             sup_norm_estimate(_cos(), 3.0, grid_points=2)
+
+    @pytest.mark.parametrize("x_radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_radius_must_be_positive_and_finite(self, x_radius):
+        with pytest.raises(ValueError, match="x_radius"):
+            sup_norm_estimate(_cos(), x_radius)
+        with pytest.raises(ValueError, match="x_radius"):
+            seminorm_estimate(_cos(), 0.5, T_GRID, x_radius)
+
+
+class TestProbeArguments:
+    """Every probe rejects a t-grid or an order it cannot use, by name,
+    instead of returning nan, dropping a row or failing deep inside."""
+
+    OP = FractionalSpec("bessel_potential", 0.5)
+
+    @staticmethod
+    def _probes(t_grid):
+        op = TestProbeArguments.OP
+        return (lambda: seminorm_estimate(_cos(), 0.5, t_grid),
+                lambda: modulus_probe(_cos(), 0.5, t_grid=t_grid),
+                lambda: inclusion_probe(_cos(), 0.4, 0.8, t_grid),
+                lambda: derivative_equivalence_probe(_cos(), 0.5, 1, 2, t_grid),
+                lambda: operator_boundedness_probe(op, [("cos", _cos())], 0.4, t_grid))
+
+    @pytest.mark.parametrize("t_grid", [(0.1, math.nan), (0.1, math.inf), (-0.1, 1.0),
+                                        (0.0, 1.0), ()])
+    def test_t_grid_must_be_nonempty_finite_and_positive(self, t_grid):
+        for probe in self._probes(t_grid):
+            with pytest.raises(ValueError, match="t-grid"):
+                probe()
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_named(self, alpha):
+        for probe in (lambda: seminorm_estimate(_cos(), alpha),
+                      lambda: modulus_probe(_cos(), alpha),
+                      lambda: derivative_equivalence_probe(_cos(), alpha, 1, 2),
+                      lambda: inclusion_probe(_cos(), 0.5, alpha)):
+            with pytest.raises(ValueError, match="alpha"):
+                probe()
+
+    def test_modulus_checks_its_order(self):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            modulus_probe(_cos(), -0.5)
+        with pytest.raises(ValueError, match="must exceed alpha"):
+            modulus_probe(_cos(), 0.5, n=0)
+
+    @pytest.mark.parametrize("k, l", [(1.5, 2), (1, 2.5)])
+    def test_equivalence_orders_must_be_integers(self, k, l):
+        with pytest.raises(ValueError, match="must be an integer"):
+            derivative_equivalence_probe(_cos(), 0.5, k, l, T_GRID)
 
 
 class TestSeminormEstimate:
@@ -236,7 +286,7 @@ class TestOnePassPerProbe:
         (fs,) = calls["sup_norms"]
         assert fs.shape == (2 * 66, 41)
         coarse, fine = calls["tables"]
-        assert coarse == (1, 121)
+        assert coarse == (121,)
         distinct = len(set(_coarse_windows(fs).tolist()))
         assert fine == (distinct, 41) and distinct < len(fs)
 
@@ -248,7 +298,7 @@ class TestOnePassPerProbe:
         (fs,) = calls["sup_norms"]
         assert fs.shape == (1 + 2 * len(T_GRID), 41)
         coarse, fine = calls["tables"]
-        assert coarse == (1, 121)
+        assert coarse == (121,)
         assert fine == (len(set(_coarse_windows(fs).tolist())), 41)
 
 

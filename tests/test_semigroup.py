@@ -185,6 +185,26 @@ class TestPHKernel:
         with pytest.raises(ValueError, match="finite"):
             ph_kernel_time_derivative(0.5, x, y, 1)
 
+    def test_distinct_points_share_one_s_integral(self, monkeypatch):
+        calls = []
+        real = semigroup._subordinate
+
+        def subordinate(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(semigroup, "_subordinate", subordinate)
+        t, tol = 0.4, 1e-9
+        x = np.array([-1.5, -0.2, 0.0, 0.7, 2.1])[:, None]
+        y = np.array([0.3, 1.1, -0.8, 0.7, -2.0])[:, None]
+        for k, kernel in ((0, lambda *a: ph_kernel(*a, tol=tol)),
+                          (1, lambda *a: ph_kernel_time_derivative(*a, 1, tol=tol))):
+            calls.clear()
+            batch = kernel(t, x, y)
+            assert len(calls) == 1 and calls[0][1] == k
+            alone = [kernel(t, xi, yi) for xi, yi in zip(x[:, 0], y[:, 0])]
+            assert batch == pytest.approx(alone, rel=0, abs=tol)
+
     @staticmethod
     def _series_oracle_2d(t, x, y, nmax=1400):
         # independent route: p(t,x,y) = gamma(y) sum_n e^{-sqrt(n) t} *
