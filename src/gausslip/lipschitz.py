@@ -348,6 +348,8 @@ def operator_boundedness_probe(op: FractionalSpec, f_suite, alpha: float,
     of f, and re-estimates the target seminorm on a doubled t-grid; the suite
     passes when the ratios are finite and drift at most ``STABILITY_DRIFT``.
     """
+    if not f_suite:
+        raise ValueError("operator_boundedness_probe needs at least one function in f_suite")
     if op.kind.endswith("derivative"):
         if op.beta >= alpha:
             raise ValueError("a derivative probe requires beta < alpha")

@@ -14,8 +14,9 @@ Representations:
   * ``spectral``      -- exact multiplier action on a HermiteExpansion,
   * ``kernel``        -- for P_t, quadrature of the explicit kernel over a
                          truncated y-domain (per point and axis,
-                         min(0, x_i) - 8 <= y_i <= max(0, x_i) + 8); for T_t,
-                         Mehler's formula (below),
+                         -hypot(min(x_i, 0), 8) <= y_i <= hypot(max(x_i, 0), 8),
+                         where e^{-s} x_i +- 8 sqrt(1 - e^{-2s}) reach over
+                         s); for T_t, Mehler's formula (below),
   * ``subordination`` -- s-integral of T_s against g(t, s), T_s by Mehler's
                          formula.
 
@@ -43,11 +44,16 @@ by Fubini the y-quadrature runs inside the s-integrand, so the error control
 acts on d^k/dt^k P_t f(x) itself.  The batch's graded y-grids are built
 together, one array per axis with a row per point whose end carries zero
 weights; f is evaluated once per call, at the nodes of nonzero weight only,
-and at each s-node the Mehler kernel, a product of 1-d kernels, is applied to
-f on the tensor y-grids one axis at a time.  The pointwise kernels
-``ph_kernel`` / ``ph_kernel_time_derivative`` run one s-integral per call
-whose payload is every (x, y) pair of the broadcast batches; the L^1 routine
-passes its one x through the same payload, since it needs |p| pointwise in y.
+and the weights are multiplied into those values once; only F and the
+offsets y - x stay.  At each s-node the Mehler kernel, a product of 1-d
+kernels, is applied to F one axis at a time: per point its exponents are
+one small matrix product, raised to ``_EXP_FLOOR``, and its normaliser
+multiplies the sums.  The semigroup runs only at the s-nodes where
+d^k g/dt^k is nonzero.  The pointwise kernels ``ph_kernel`` /
+``ph_kernel_time_derivative`` run one s-integral per call whose payload is
+every (x, y) pair of the broadcast batches, with the same exponent floor;
+the L^1 routine passes its one x through the same payload, since it needs
+|p| pointwise in y.
 
 Pointwise callables follow the batch contract of ``quadrature.eval_batch``:
 point batches of shape (n, d) in, shape (n,) out.
@@ -78,9 +84,19 @@ _SQRT_PI = math.sqrt(math.pi)
 # can contribute, hence the inner panel width of graded y-grids.
 _V_CUT = 45.0
 
-# y-grids reach this far past the Mehler centres e^{-s} x (std <= 1/sqrt 2),
-# which lie between 0 and x: the dropped Gaussian mass is <= erfc(8) per side
+# y-grids reach this far past the Mehler centres r x, r = e^{-s}, in units of
+# sqrt(1 - r^2) (std sqrt((1 - r^2) / 2) <= 1/sqrt 2): the dropped Gaussian
+# mass is <= erfc(8) per side at every s.  Over s the ends r x +- 8 sqrt(1-r^2)
+# reach -hypot(min(x, 0), 8) and hypot(max(x, 0), 8), the span of each axis
 _Y_MARGIN = 8.0
+
+# Mehler exponents are raised to this before ``exp`` in the kernel routes:
+# numpy 2.4's exp is ~100 times slower on arguments in -745..-709 (subnormal
+# results) and ~15 times slower below, and ~20% of the kernel route's
+# exponents are below -745.  e^{-690} ~ 2e-300 stays a normal float after
+# the weights multiply it in; each floored term adds at most
+# e^{-690} (pi (1-r^2))^{-d/2} |w F| to a sum
+_EXP_FLOOR = -690.0
 
 
 @dataclass(frozen=True)
@@ -111,8 +127,8 @@ class KernelL1(NamedTuple):
 # Kernels and densities
 # ----------------------------------------------------------------------------
 
-def _mehler_from_s(s, x, y, d: int):
-    """exp(-|y - e^{-s} x|^2 / (1-e^{-2s})) / (pi (1-e^{-2s}))^{d/2}.
+def _mehler_log(s, x, y, d: int):
+    """log of exp(-|y - e^{-s} x|^2 / (1-e^{-2s})) / (pi (1-e^{-2s}))^{d/2}.
 
     ``x`` and ``y`` carry coordinates on the last axis; ``s`` broadcasts
     against the batch axes.  Evaluated in log form so that small 1-r^2 cannot
@@ -121,13 +137,19 @@ def _mehler_from_s(s, x, y, d: int):
     s = np.asarray(s, dtype=float)
     r = np.exp(-s)
     one_minus_r2 = -np.expm1(-2.0 * s)
-    # in place: the contraction calls this on (S, X, N) arrays
+    # in place: the pointwise kernels call this on (S, P) arrays
     q = y - r[..., None] * x
     q *= q
     q = q[..., 0] if d == 1 else np.sum(q, axis=-1)
     q /= one_minus_r2
     np.negative(q, out=q)
     q -= 0.5 * d * np.log(math.pi * one_minus_r2)
+    return q
+
+
+def _floored_exp(q: np.ndarray) -> np.ndarray:
+    """e^q in place, with q raised to ``_EXP_FLOOR`` first."""
+    np.maximum(q, _EXP_FLOOR, out=q)
     return np.exp(q, out=q)
 
 
@@ -138,7 +160,7 @@ def mehler_kernel(t: float, x, y, d: int = 1):
     values (float for a single pair).
     """
     _check_time(t)
-    out = _mehler_from_s(t, as_points(x, d), as_points(y, d), d)
+    out = np.exp(_mehler_log(t, as_points(x, d), as_points(y, d), d))
     if out.shape == ():
         return float(out)
     return out
@@ -235,14 +257,21 @@ def _subordinate(t: float, k: int, semigroup, tol: float) -> np.ndarray:
 
     Integrates d^k g (T_s - T_inf) in u = log s and adds T_inf back for
     k = 0: the integrand decays like e^{-s} and reads 0 past s ~ 40.
+    ``semigroup`` runs only at the s-nodes where d^k g does not underflow
+    to 0, since the term is 0 at the others.
     """
     limit = semigroup(np.array([np.inf]))[0]
 
     def integrand(s):
         # eval_batch's per-node retry passes scalar nodes
         sv = np.atleast_1d(s)
-        v = semigroup(sv) - limit
-        v *= _stable_weight_factor(t, sv, k).reshape((-1,) + (1,) * limit.ndim)
+        g = _stable_weight_factor(t, sv, k)
+        live = g != 0.0
+        v = np.zeros(sv.shape + limit.shape)
+        if live.any():
+            terms = semigroup(sv[live]) - limit
+            terms *= g[live].reshape((-1,) + (1,) * limit.ndim)
+            v[live] = terms
         return v.reshape(np.shape(s) + limit.shape)
 
     vals = np.asarray(integrate_halfline(integrand, tol=tol, rapid=True))
@@ -290,65 +319,91 @@ def _graded_panels(t: float, c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return gauss_legendre_panels(np.take_along_axis(breaks, cols, axis=1))
 
 
+def _along(v: np.ndarray, a: int, d: int) -> np.ndarray:
+    """Axis-a values (X, N_a) shaped to broadcast against (X, N_1, ..., N_d)."""
+    return v.reshape((v.shape[0],) + (1,) * a + (-1,) + (1,) * (d - 1 - a))
+
+
 def _ph_graded_grids(t: float, pts: np.ndarray, func):
-    """Per-point graded y-grids and ``func`` on them, as ``_mehler_contract``
-    takes them.
+    """Per-point graded y-grids and ``func`` on them.
 
     Point i gets the tensor grid of its per-axis panels graded toward x_i,
-    on [min(0, x_ia), max(0, x_ia)] widened by ``_Y_MARGIN``; each axis is
-    one (X, N_a) array whose rows end in zero weights.  ``func`` is evaluated
-    once, on the nodes of nonzero weight, point by point in row-major order;
-    F is 0 elsewhere.
+    on [-hypot(min(x_ia, 0), 8), hypot(max(x_ia, 0), 8)] (``_Y_MARGIN``);
+    each axis is one (X, N_a) array whose rows end in zero weights.  ``func``
+    is evaluated once, on the nodes of nonzero weight, point by point in
+    row-major order; F is 0 elsewhere.
     """
     X, d = pts.shape
-    axes = [_graded_panels(t, c, np.minimum(c, 0.0) - _Y_MARGIN, np.maximum(c, 0.0) + _Y_MARGIN)
+    axes = [_graded_panels(t, c, -np.hypot(np.minimum(c, 0.0), _Y_MARGIN),
+                           np.hypot(np.maximum(c, 0.0), _Y_MARGIN))
             for c in pts.T]
     shape = (X,) + tuple(y.shape[1] for y, _ in axes)
-
-    def along(v, a):
-        return v.reshape((X,) + (1,) * a + (-1,) + (1,) * (d - 1 - a))
-
     used = np.ones(shape, dtype=bool)
     for a, (_, w) in enumerate(axes):
-        used &= along(w, a) > 0
+        used &= _along(w, a, d) > 0
     F = np.zeros(shape)
-    F[used] = eval_batch(func, np.stack([np.broadcast_to(along(y, a), shape)[used]
+    F[used] = eval_batch(func, np.stack([np.broadcast_to(_along(y, a, d), shape)[used]
                                          for a, (y, _) in enumerate(axes)], axis=-1))
     return axes, F
+
+
+def _contraction_operands(t: float, pts: np.ndarray, func):
+    """The graded grids as ``_mehler_contract`` takes them: per axis the
+    offsets y_a - x_a (X, N_a), written over the nodes, and F with every
+    axis's weights multiplied in.  The weights are dropped."""
+    axes, F = _ph_graded_grids(t, pts, func)
+    for a, (y, w) in enumerate(axes):
+        F *= _along(w, a, pts.shape[1])
+        y -= pts[:, a:a + 1]
+    return [y for y, _ in axes], F
 
 
 # ----------------------------------------------------------------------------
 # Separable Mehler contraction
 # ----------------------------------------------------------------------------
 
-# x-points per block of ``_mehler_contract``: keeps its (S, block, N) factor
-# arrays at a few MB for the half-line rule's 8 s-nodes per call and ~600
-# nodes per axis
+# x-points per block of ``_mehler_contract``: for the half-line rule's 8
+# s-nodes per call and ~600 nodes per axis, its (block, S, N) exponents are
+# ~2.5 MB and its (block, 3, N) rows ~1 MB, next to the (X, N) offsets and F
 _X_BLOCK = 64
 
 
-def _mehler_contract(s: np.ndarray, pts: np.ndarray, axes, F: np.ndarray) -> np.ndarray:
+def _mehler_contract(s: np.ndarray, pts: np.ndarray, offsets, WF: np.ndarray) -> np.ndarray:
     """Sum over a tensor y-grid of M_s(x, y) w(y) F(x; y), shape (S, X).
 
     The d-dimensional Mehler kernel is the product of 1-d kernels, so the sum
-    is d successive 1-d contractions of ``F`` (shape (X, N_1, ..., N_d)) with
-    the weighted factors m(s, x_a, y_a) w_a: O(N d) exponentials per s-node
-    and point instead of O(N^d).  ``axes[a]`` holds the nodes and weights of
-    axis a, shape (X, N_a).
+    is d successive 1-d contractions of ``WF`` = w F (shape (X, N_1, ...,
+    N_d)) with the factors exp(-(c - m)^2 / (1 - r^2)), r = e^{-s}, of the
+    offsets c = y_a - x_a (``offsets[a]``, shape (X, N_a)) and m = (r - 1) x_a:
+    O(N d) exponentials per s-node and point instead of O(N^d).  Per block
+    the exponents are one product of (block, S, 3) coefficients with the
+    (block, 3, N_a) rows (-c^2, c, 1), raised to ``_EXP_FLOOR``; the
+    normaliser (pi (1 - r^2))^{-d/2} multiplies the (S, X) sums.
     """
-    X = pts.shape[0]
+    X, d = pts.shape
+    one_minus_r2 = -np.expm1(-2.0 * s)
+    inv = 1.0 / one_minus_r2
+    # the centre r x with r rounded as ``_mehler_log`` rounds it
+    r_minus_1 = np.exp(-s) - 1.0
+    m = np.multiply.outer(pts.T, r_minus_1)                          # (d, X, S)
+    coef = np.stack([np.broadcast_to(inv, m.shape), 2.0 * inv * m, -inv * m * m], axis=-1)
     out = np.empty((s.size, X))
     for lo in range(0, X, _X_BLOCK):
         blk = slice(lo, lo + _X_BLOCK)
-        xb = pts[blk]
-        acc = F[blk].reshape(len(xb), 1, -1)
-        for a, (y, w) in enumerate(axes):
-            m = _mehler_from_s(s[:, None, None], xb[None, :, None, a:a + 1],
-                               y[None, blk, :, None], 1)
-            m *= w[blk]
-            m = m.transpose(1, 0, 2)[:, :, None, :]          # (block, S, 1, N_a)
-            acc = (m @ acc.reshape(acc.shape[:2] + (y.shape[-1], -1)))[:, :, 0, :]
+        acc = WF[blk].reshape(len(pts[blk]), 1, -1)
+        for a, c in enumerate(offsets):
+            cb = c[blk]
+            # (-c^2, c, 1) written in place: a stack of temporaries adds
+            # ~0.9 MB to the peak RSS of the nested kernel route
+            rows = np.empty((cb.shape[0], 3, cb.shape[1]))
+            np.multiply(cb, cb, out=rows[:, 0])
+            np.negative(rows[:, 0], out=rows[:, 0])
+            rows[:, 1] = cb
+            rows[:, 2] = 1.0
+            factor = _floored_exp(coef[a, blk] @ rows)[:, :, None, :]  # (block, S, 1, N_a)
+            acc = (factor @ acc.reshape(acc.shape[:2] + (cb.shape[-1], -1)))[:, :, 0, :]
         out[:, blk] = acc[:, :, 0].T
+    out *= (math.pi * one_minus_r2[:, None]) ** (-0.5 * d)
     return out
 
 
@@ -408,7 +463,8 @@ def _ph_kernel_payload(t: float, X: np.ndarray, Y: np.ndarray, d: int,
                        k: int, tol: float) -> np.ndarray:
     """∫ d^k/dt^k g(t, s) mehler(s, x_i, y_i) ds for the (P, d) point pairs
     (X_i, Y_i), as one s-integral with a payload component per pair."""
-    return _subordinate(t, k, lambda s: _mehler_from_s(s[:, None], X[None], Y[None], d), tol)
+    return _subordinate(
+        t, k, lambda s: _floored_exp(_mehler_log(s[:, None], X[None], Y[None], d)), tol)
 
 
 def _ph_kernel_values(t: float, x, y, d: int, k: int, tol: float):
@@ -505,10 +561,10 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
     _check_kernel_order(k)
 
     def kernel_values(pts):
-        axes, F = _ph_graded_grids(t, pts, func)
+        offsets, WF = _contraction_operands(t, pts, func)
         # Fubini: the y-quadrature runs inside the s-integrand, so the error
         # control acts on the values d^k/dt^k P_t f(x) themselves
-        return _subordinate(t, k, lambda s: _mehler_contract(s, pts, axes, F), tol)
+        return _subordinate(t, k, lambda s: _mehler_contract(s, pts, offsets, WF), tol)
 
     return _pointwise(dim, kernel_values)
 

@@ -447,6 +447,12 @@ class TestBoundednessProbe:
         with pytest.raises(ValueError):
             operator_boundedness_probe(spec, [("cos:1", _cos())], 0.5, T_GRID)
 
+    def test_empty_suite_is_rejected(self):
+        # a probe of no function checked nothing and reported stable=True
+        spec = FractionalSpec("bessel_potential", 0.5)
+        with pytest.raises(ValueError, match="at least one function"):
+            operator_boundedness_probe(spec, [], 0.4, T_GRID)
+
 
 class TestSpectralDerivativeConsistency:
     def test_first_derivative_matches_central_difference(self):

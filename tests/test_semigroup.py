@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,11 @@ class TestMehlerKernel:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             mehler_kernel(0.0, 0.0, 0.0)
+
+    def test_underflow_is_not_floored(self):
+        # the kernel routes raise their exponents to _EXP_FLOOR; the kernel
+        # itself still underflows to 0
+        assert mehler_kernel(0.5, 0.0, 40.0) == 0.0
 
 
 class TestOUApply:
@@ -451,8 +457,9 @@ class TestPHApply:
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_kernel_far_points(self, k):
-        # each point's y-span reaches 8 past 0 and past x_i, since the Mehler
-        # centres e^{-s} x lie between them; 4 short of 0 is ~1e-9 off here
+        # each point's y-span reaches 8 past 0 and hypot(x_i, 8) on the side
+        # of x_i, where e^{-s} x_i +- 8 sqrt(1 - e^{-2s}) reach over s; 4
+        # short of 0 is ~1e-9 off here
         t, x = 1.0, np.array([[-9.0], [9.0]])
         op = ph_apply(lambda p: hermite_eval((2,), p), SemigroupQuery(t, "kernel", k),
                       d=1, tol=1e-9)
@@ -514,10 +521,109 @@ class TestPHApply:
         assert np.max(np.abs(far - math.exp(-0.25))) <= 1e-4
 
 
+class TestMehlerContract:
+    @pytest.mark.parametrize("pts", [[[-9.0], [9.0], [0.3]], [[-9.0, 9.0], [0.3, -1.2]]])
+    def test_matches_a_dense_sum(self, pts):
+        # the separable, floored contraction against the sum over every node of
+        # each point's tensor grid of kernel x weights x F, in long double;
+        # both take r = e^{-s} rounded to float64
+        t, pts = 0.05, np.array(pts)
+        d = pts.shape[1]
+        func = lambda p: np.cos(p[:, 0]) * (1.5 + np.sin(p[:, -1]))
+        axes, F = semigroup._ph_graded_grids(t, pts, func)
+        offsets, WF = semigroup._contraction_operands(t, pts, func)
+        s = np.array([1e-7, 1e-3, 0.3, 5.0, 40.0, np.inf])
+        got = semigroup._mehler_contract(s, pts, offsets, WF)
+        ld = np.longdouble
+        for j, sj in enumerate(s):
+            r = ld(np.exp(-sj))
+            one_minus_r2 = -np.expm1(ld(-2.0) * ld(sj))
+            for i, x in enumerate(pts):
+                terms = F[i].astype(ld)
+                for a, (y, w) in enumerate(axes):
+                    z = y[i].astype(ld) - r * ld(x[a])
+                    factor = np.exp(-z * z / one_minus_r2) / np.sqrt(ld(math.pi) * one_minus_r2)
+                    terms = terms * semigroup._along((factor * w[i])[None], a, d)[0]
+                scale = float(np.abs(terms).sum())
+                assert scale > 0.0
+                assert abs(got[j, i] - float(terms.sum())) <= 1e-13 * scale, (sj, x)
+
+    @pytest.mark.parametrize("call", [
+        lambda: ph_apply(lambda p: np.cos(p[:, 0]), SemigroupQuery(0.4, "kernel", 1), d=1)(
+            np.linspace(-9.0, 9.0, 11)[:, None]),
+        lambda: ph_kernel(0.4, np.linspace(-9.0, 9.0, 20)[:, None],
+                          np.linspace(9.0, -9.0, 20)[:, None]),
+    ])
+    def test_exp_never_takes_its_slow_path(self, call, monkeypatch):
+        # numpy's exp is ~15-100x slower below about -709, where its results
+        # are subnormal or 0; the floor changes no value that matters, so
+        # only this test keeps it in place.  Every exp over more values than
+        # one s-batch is a kernel batch.
+        lows = []
+        exp = np.exp
+
+        def spy(x, *args, **kwargs):
+            v = np.asarray(x)
+            if v.size > quadrature._DE_BATCH:
+                lows.append(float(v.min()))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        call()
+        assert lows and min(lows) >= semigroup._EXP_FLOOR
+
+    def test_semigroup_runs_only_where_the_weight_is_nonzero(self, monkeypatch):
+        # d^k g/dt^k underflows to 0 at small s, where the term is 0 anyway
+        seen, dead = [], []
+        contract, weight = semigroup._mehler_contract, semigroup._stable_weight_factor
+
+        def counted_contract(s, *args):
+            seen.append(s.copy())
+            return contract(s, *args)
+
+        def counted_weight(t, s, k):
+            g = weight(t, s, k)
+            dead.append(np.count_nonzero(g == 0.0))
+            return g
+
+        monkeypatch.setattr(semigroup, "_mehler_contract", counted_contract)
+        monkeypatch.setattr(semigroup, "_stable_weight_factor", counted_weight)
+        for k in (0, 1, 2):
+            seen.clear()
+            ph_apply(lambda p: np.cos(p[:, 0]), SemigroupQuery(0.5, "kernel", k), d=1)(
+                np.linspace(-2.5, 2.5, 11)[:, None])
+            s = np.concatenate(seen)
+            s = s[np.isfinite(s)]  # T_inf
+            assert s.size and np.all(weight(0.5, s, k) != 0.0)
+        assert sum(dead) > 0
+
+    def test_nested_kernel_route_memory(self):
+        # the eigen suite's ph.semigroup_law.kernel_kernel row, which sets the
+        # peak memory of ``gausslip --suite all``: the inner route runs on
+        # the outer y-grid, ~540 points of ~600 nodes.  Its tracemalloc peak
+        # was 13.07 MiB while the nodes and weights stayed next to F; with
+        # only the offsets and weighted F kept, and the hypot span, 11.30 MiB
+        inner = ph_apply(lambda p: np.cos(p[:, 0]), SemigroupQuery(0.45, "kernel"), d=1, tol=1e-7)
+        nested = ph_apply(inner, SemigroupQuery(0.3, "kernel"), d=1, tol=1e-7)
+        tracemalloc.start()
+        try:
+            nested(np.array([[0.8]]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13.1 * 2 ** 20
+
+
+def _axis_span(c):
+    """The kernel route's y-span on an axis at x = c: where e^{-s} c +-
+    8 sqrt(1 - e^{-2s}) reach over s."""
+    return -math.hypot(min(c, 0.0), 8.0), math.hypot(max(c, 0.0), 8.0)
+
+
 def _one_point_panels(t, c):
     """Nodes and weights of one point's graded axis, as the kernel route spans it."""
-    c = np.array([c])
-    y, w = semigroup._graded_panels(t, c, np.minimum(c, 0.0) - 8.0, np.maximum(c, 0.0) + 8.0)
+    lo, hi = _axis_span(c)
+    y, w = semigroup._graded_panels(t, np.array([c]), np.array([lo]), np.array([hi]))
     return y[0], w[0]
 
 
@@ -546,7 +652,7 @@ class TestGradedPanels:
         for i, c in enumerate(xs):
             y1, w1 = _one_point_panels(t, c)
             y0, w0 = gauss_legendre_panels(
-                _graded_breaks_loop(min(c, 0.0) - 8.0, max(c, 0.0) + 8.0, c, inner))
+                _graded_breaks_loop(*_axis_span(c), c, inner))
             assert np.array_equal(y1, y0) and np.array_equal(w1, w0)
             used = w[i] > 0
             assert np.array_equal(y[i, used], y1) and np.array_equal(w[i, used], w1)
