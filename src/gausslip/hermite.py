@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 
 import numpy as np
@@ -144,15 +144,29 @@ def _index_table(d: int, n_max: int) -> tuple:
     return indices, indices.sum(axis=1), {nu: row for row, nu in enumerate(idx)}
 
 
+@lru_cache(maxsize=8)
+def _rule_table(n_max: int, nodes: bytes) -> np.ndarray:
+    """The read-only (n_max+1, m) Hermite table of a rule's nodes, keyed by
+    their bytes (a ``QuadratureRule`` holds arrays and is unhashable)."""
+    table = hermite_values_1d(n_max, np.frombuffer(nodes))
+    table.setflags(write=False)
+    return table
+
+
 def project(f, d: int, n_max: int, rule: QuadratureRule | None = None) -> HermiteExpansion:
-    """Fourier-Hermite coefficients fhat(nu) = ∫ f h_nu dgamma for |nu| <= n_max."""
+    """Fourier-Hermite coefficients fhat(nu) = ∫ f h_nu dgamma for |nu| <= n_max.
+
+    The (n_max+1, m) Hermite table of the rule's m nodes is built once per
+    process per (n_max, nodes): (n_max+1) m float64, 21 KB at N = 40 on the
+    64-node default rule.
+    """
     if n_max < 0:
         raise ValueError("degree cap must be >= 0")
     if rule is None:
         rule = default_rule()
     pts, w = tensor_nodes(rule, d)
     acc = (w * eval_batch(f, pts)).reshape((rule.nodes.size,) * d)
-    table = hermite_values_1d(n_max, rule.nodes)
+    table = _rule_table(n_max, rule.nodes.tobytes())
     # each step sums out the leading node axis and appends its degree axis
     for _ in range(d):
         acc = np.tensordot(acc, table, axes=([0], [1]))

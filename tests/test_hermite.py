@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausslip import hermite
 from gausslip.hermite import (
     HermiteExpansion,
     eval_coefficients,
@@ -18,7 +19,7 @@ from gausslip.hermite import (
     remove_mean,
     scale_by_level,
 )
-from gausslip.quadrature import gauss_hermite_rule, integrate_gaussian, tensor_nodes
+from gausslip.quadrature import default_rule, gauss_hermite_rule, integrate_gaussian, tensor_nodes
 
 # physicists' polynomials H_0..H_5, used as an independent oracle
 _PHYS = [
@@ -148,6 +149,30 @@ class TestProjection:
         e = project(lambda p: np.exp(-p[:, 0] ** 2), 1, 9)
         for n in (1, 3, 5, 7, 9):
             assert abs(e.coefficient((n,))) <= 1e-12
+
+
+class TestRuleTable:
+    """``project`` builds the Hermite table of a rule once per (n_max, nodes)."""
+
+    @staticmethod
+    def _coefficients(n_max, rule):
+        return project(lambda p: np.cos(p[:, 0]) + p[:, 0] ** 3, 1, n_max, rule).vector.tolist()
+
+    def test_interleaved_rules_give_cold_results(self):
+        keys = ((40, default_rule()), (40, gauss_hermite_rule(32)), (12, gauss_hermite_rule(32)))
+        cold = []
+        for key in keys:
+            hermite._rule_table.cache_clear()
+            cold.append(self._coefficients(*key))
+        for _ in range(2):
+            for key, want in zip(keys, cold):
+                assert self._coefficients(*key) == want
+
+    def test_cached_table_is_read_only(self):
+        table = hermite._rule_table(40, default_rule().nodes.tobytes())
+        assert table.shape == (41, 64)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 2.0
 
 
 class TestEvalExpansion:

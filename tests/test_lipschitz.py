@@ -86,6 +86,68 @@ class TestSupNorm:
             seminorm_estimate(_cos(), 0.5, T_GRID, x_radius)
 
 
+class TestGridPoints:
+    """``x_radius`` and ``grid_points`` key the cached grid tables:
+    ``grid_points`` must be an integer, and numpy scalars work as before."""
+
+    @pytest.mark.parametrize("grid_points", [121.0, "121", None, np.float64(121)])
+    def test_non_integer_grid_points_named(self, grid_points):
+        op = FractionalSpec("bessel_potential", 0.5)
+        for probe in (lambda: sup_norm_estimate(_cos(), 3.0, grid_points),
+                      lambda: sup_norm_estimate(_rough(), 3.0, grid_points),
+                      lambda: seminorm_estimate(_rough(), 0.5, T_GRID, grid_points=grid_points),
+                      lambda: modulus_probe(_rough(), 0.5, grid_points=grid_points),
+                      lambda: inclusion_probe(_rough(), 0.4, 0.8, grid_points=grid_points),
+                      lambda: derivative_equivalence_probe(_rough(), 0.5, 1, 2,
+                                                           grid_points=grid_points),
+                      lambda: operator_boundedness_probe(op, [("rough", _rough())], 0.4,
+                                                         grid_points=grid_points)):
+            with pytest.raises(ValueError, match="grid_points"):
+                probe()
+
+    def test_numpy_scalars_accepted(self):
+        assert sup_norm_estimate(_rough(), 3.0, np.int64(121)) == sup_norm_estimate(_rough())
+        assert sup_norm_estimate(_rough(), np.array(3.0)) == sup_norm_estimate(_rough())
+        assert (seminorm_estimate(_rough(), 0.5, T_GRID, grid_points=np.int32(61))
+                == seminorm_estimate(_rough(), 0.5, T_GRID, grid_points=61))
+
+
+class TestFixedGridTables:
+    """The grid, windows and Hermite tables of ``_sup_norms`` are built once
+    per process per (N, R, P): probes on interleaved keys give what they give
+    on cold caches, and no cached array can be written into."""
+
+    KEYS = ((40, 3.0, 121), (8, 2.5, 61))
+
+    @staticmethod
+    def _probes(key):
+        n_max, x_radius, grid_points = key
+        e, op = _rough(n_max), FractionalSpec("bessel_potential", 0.5)
+        return (sup_norm_estimate(e, x_radius, grid_points),
+                sup_norm_estimate(_cos(), x_radius, grid_points),
+                seminorm_estimate(e, 0.5, T_GRID, x_radius, grid_points=grid_points),
+                operator_boundedness_probe(op, [("rough", e)], 0.4, T_GRID,
+                                           x_radius=x_radius, grid_points=grid_points))
+
+    def test_interleaved_keys_give_cold_results(self):
+        cold = []
+        for key in self.KEYS:
+            lipschitz._sup_grid.cache_clear()
+            lipschitz._sup_tables.cache_clear()
+            cold.append(self._probes(key))
+        for _ in range(2):
+            for key, want in zip(self.KEYS, cold):
+                assert self._probes(key) == want
+        assert lipschitz._sup_tables.cache_info().currsize == 2
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = lipschitz._sup_grid(3.0, 121) + lipschitz._sup_tables(40, 3.0, 121)
+        assert [a.shape for a in arrays] == [(121,), (121, 41), (41, 121), (41, 121, 41)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 2.0
+
+
 class TestProbeArguments:
     """Every probe rejects a t-grid or an order it cannot use, by name,
     instead of returning nan, dropping a row or failing deep inside."""
@@ -250,14 +312,18 @@ class TestBatchedRows:
             monkeypatch.setattr(mod, "scale_by_level", per_t, raising=False)
         est = seminorm_estimate(expansion, 0.5, T_GRID)
         assert len(est.rows) == 16
-        # f and the 16 rows share the coarse pass's table and the fine pass's table
+        # the first pass builds the coarse grid's table and the windows' table
+        assert calls == {"tables": 2, "per_t": 0}
+        # a second pass on the same (N, R, P) builds none
+        assert seminorm_estimate(expansion, 1.5, T_GRID).rows
         assert calls == {"tables": 2, "per_t": 0}
 
 
 class TestOnePassPerProbe:
-    """A probe takes every sup-norm from one ``_sup_norms`` call, which builds
-    one Hermite table for the coarse grid and one for the refinement windows
-    around the distinct coarse argmaxes."""
+    """A probe takes every sup-norm from one ``_sup_norms`` call.  The first
+    call on an (N, R, P) key builds one Hermite table for the coarse grid and
+    one for the refinement windows of every coarse node; later calls on that
+    key build none."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -285,10 +351,12 @@ class TestOnePassPerProbe:
         assert len(calls["sup_norms"]) == 1
         (fs,) = calls["sup_norms"]
         assert fs.shape == (2 * 66, 41)
-        coarse, fine = calls["tables"]
-        assert coarse == (121,)
-        distinct = len(set(_coarse_windows(fs).tolist()))
-        assert fine == (distinct, 41) and distinct < len(fs)
+        assert calls["tables"] == [(121,), (121, 41)]
+        operator_boundedness_probe(FractionalSpec("riesz_derivative", 0.2), suite, 0.4, T_GRID)
+        assert len(calls["sup_norms"]) == 2
+        assert calls["tables"] == [(121,), (121, 41)]
+        # the windows of distinct argmaxes are indexed, not rebuilt
+        assert len(set(_coarse_windows(fs).tolist())) < len(fs)
 
     def test_equivalence_probe(self, calls):
         e = _rough()
@@ -297,9 +365,10 @@ class TestOnePassPerProbe:
         assert len(calls["sup_norms"]) == 1
         (fs,) = calls["sup_norms"]
         assert fs.shape == (1 + 2 * len(T_GRID), 41)
-        coarse, fine = calls["tables"]
-        assert coarse == (121,)
-        assert fine == (len(set(_coarse_windows(fs).tolist())), 41)
+        assert calls["tables"] == [(121,), (121, 41)]
+        derivative_equivalence_probe(e, 1.5, 2, 3, T_GRID)
+        assert len(calls["sup_norms"]) == 2
+        assert calls["tables"] == [(121,), (121, 41)]
 
 
 class TestProbesMatchSeminormEstimate:

@@ -150,6 +150,43 @@ class TestStableDensity:
             stable_density(0.0, 1.0)
 
 
+def _mpmath_density(mpmath, t, s):
+    """g(t, s) = t e^{-t^2/4s} s^{-3/2} / (2 sqrt(pi)) at the working precision."""
+    return t / (2 * mpmath.sqrt(mpmath.pi)) * mpmath.exp(-t * t / (4 * s)) * s ** -1.5
+
+
+class TestMpmathOracles:
+    """g(t, s) and p(t, x, y) = ∫ g(t, s) M_s(x, y) ds against 30-digit mpmath,
+    M_s the Mehler kernel against Lebesgue dy."""
+
+    @pytest.mark.parametrize("t, s", [(0.01, 1e-5), (0.3, 0.02), (2.0, 5.0)])
+    def test_stable_density(self, t, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = _mpmath_density(mpmath, mpmath.mpf(t), mpmath.mpf(s))
+            assert stable_density(t, s) == pytest.approx(float(want), rel=1e-15)
+
+    @pytest.mark.parametrize("t, x, y", [(0.01, 0.2, 0.21), (0.05, 0.0, 0.1), (0.3, -1.0, 0.5),
+                                         (1.0, 0.5, -2.0), (2.0, 2.5, -2.5)])
+    def test_ph_kernel(self, t, x, y):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            t_, x_, y_ = map(mpmath.mpf, (t, x, y))
+
+            def integrand(s):
+                if s == 0:  # g(t, s) vanishes to every order at s = 0
+                    return mpmath.mpf(0)
+                r, v = mpmath.exp(-s), -mpmath.expm1(-2 * s)
+                return (_mpmath_density(mpmath, t_, s) * mpmath.exp(-(y_ - r * x_) ** 2 / v)
+                        / mpmath.sqrt(mpmath.pi * v))
+
+            # split where g rises, peaks (s = t^2/6) and decays, and where M_s flattens
+            breaks = sorted({t_ * t_ / 40, t_ * t_ / 4, 10 * t_ * t_ / 4, mpmath.mpf(1),
+                             mpmath.mpf(10)})
+            want = mpmath.quad(integrand, [0, *breaks, mpmath.inf])
+            assert ph_kernel(t, x, y, tol=1e-12) == pytest.approx(float(want), rel=1e-12)
+
+
 def _panel_integral_1d(f, lo, hi, width):
     ys, w = gauss_legendre_panels(np.linspace(lo, hi, round((hi - lo) / width) + 1))
     return float(w @ f(ys)), ys, w
@@ -616,8 +653,9 @@ class TestMehlerContract:
 
 def _axis_span(c):
     """The kernel route's y-span on an axis at x = c: where e^{-s} c +-
-    8 sqrt(1 - e^{-2s}) reach over s."""
-    return -math.hypot(min(c, 0.0), 8.0), math.hypot(max(c, 0.0), 8.0)
+    8 sqrt(1 - e^{-2s}) reach over s.  np.hypot, as the route takes it:
+    math.hypot differs from it in the last bit for some c (c = 6.7151061075208816)."""
+    return -float(np.hypot(min(c, 0.0), 8.0)), float(np.hypot(max(c, 0.0), 8.0))
 
 
 def _one_point_panels(t, c):
