@@ -130,8 +130,12 @@ def _sup_norms(fs, x_radius: float, grid_points: int) -> list:
         raise ValueError(f"grid_points must be an integer, got {grid_points!r}")
     if grid_points < 3:
         raise ValueError(f"grid_points must be at least 3, got {grid_points}")
-    if not 0 < x_radius < math.inf:
-        raise ValueError(f"x_radius must be positive and finite, got {x_radius}")
+    try:
+        in_range = 0 < x_radius < math.inf
+    except (TypeError, ValueError):  # a string, None, an array of several
+        in_range = False
+    if not in_range:
+        raise ValueError(f"x_radius must be positive and finite, got {x_radius!r}")
     x_radius = float(x_radius)  # a cache key: a 0-d array is unhashable
     xs, windows = _sup_grid(x_radius, grid_points)
     if callable(fs):

@@ -53,9 +53,6 @@ _LOG_QUIET = 1e-6
 # halvings one integral may spend
 _DE_HALVINGS = 8
 
-# s-nodes per integrand call: callers allocate payload arrays per node
-_DE_BATCH = 8
-
 # Two levels that agree to this multiple of eps times the sum have reached
 # float64 rounding; a change this small against the absolute mass is noise.
 _ROUNDING = 64.0 * np.finfo(float).eps
@@ -209,19 +206,14 @@ def _weight_payload(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _halfline_terms(g, u: np.ndarray, rapid: bool) -> np.ndarray:
-    """g(s) ds/du at s = e^u (``rapid``) or s = exp((pi/2) sinh u),
-    _DE_BATCH nodes per call of g."""
-    parts = []
-    for lo in range(0, u.size, _DE_BATCH):
-        v = u[lo:lo + _DE_BATCH]
-        if rapid:
-            s = np.exp(v)
-            ds = s
-        else:
-            s = np.exp(0.5 * math.pi * np.sinh(v))
-            ds = 0.5 * math.pi * np.cosh(v) * s
-        parts.append(_weight_payload(eval_batch(g, s), ds))
-    return np.concatenate(parts)
+    """g(s) ds/du at s = e^u (``rapid``) or s = exp((pi/2) sinh u), every
+    node u in one call of g."""
+    if rapid:
+        s = ds = np.exp(u)
+    else:
+        s = np.exp(0.5 * math.pi * np.sinh(u))
+        ds = 0.5 * math.pi * np.cosh(u) * s
+    return _weight_payload(eval_batch(g, s), ds)
 
 
 def _max_abs(v) -> float:
@@ -241,15 +233,17 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
 
     The first step sets the truncation: it takes every node with
     |tau| <= 3 at h = 0.5 (|u| <= 16 at h = 1) and walks on, four nodes a
-    side per call, until the two outermost terms on each side are
+    side per step, until the two outermost terms on each side are
     negligible, below 1e-2 tol / h in tau and 1e-6 tol / h in log s (at the
     cap, the outermost alone); each side ends one node past its outermost
     term above that.  The step then halves,
     each level adding the midpoints of the last, until two levels after the
     first halving agree to max(tol, 64 eps |S|).  ``g`` follows the batch
-    contract of ``eval_batch``, gets at most 8 s-nodes per call and may return
-    a payload of shape (n, ...); the error metric is then the max over payload
-    components.
+    contract of ``eval_batch`` and may return a payload of shape (n, ...);
+    the error metric is then the max over payload components.  It gets every
+    new node of a step in one call: the first level, each step of the walk
+    and each halving level, so an integrand whose payload is large bounds
+    its own temporaries.
 
     Raises ConvergenceError, with the last level's sum as estimate and an
     error bound of inf, when the step has halved 8 times (at most
@@ -268,18 +262,22 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
     first, cap = round(u_first / h), round(u_cap / h)
     quiet = quiet * tol / h
 
-    def terms_at(u):
-        return _halfline_terms(g, u, rapid)
+    # each node's term, and its max-abs, computed once for the walk's checks
+    terms, peak = {}, {}
+
+    def add(nodes):
+        vals = _halfline_terms(g, h * np.asarray(nodes, dtype=float), rapid)
+        terms.update(zip(nodes, vals))
+        peak.update(zip(nodes, np.abs(vals).reshape(len(nodes), -1).max(axis=1).tolist()))
+
+    def negligible(j):
+        return peak[j] <= quiet
 
     # first level: every node with |u| <= u_first, then four more per side
     # while that side's two outermost terms are not both negligible (at the
     # cap, the outermost alone)
-    terms = dict(zip(range(-first, first + 1), terms_at(h * np.arange(-first, first + 1.0))))
+    add(range(-first, first + 1))
     reach = {-1: first, 1: first}
-
-    def negligible(j):
-        return _max_abs(terms[j]) <= quiet
-
     while True:
         todo = [side for side in (-1, 1)
                 if not (negligible(side * reach[side])
@@ -293,9 +291,8 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
                 estimate=_maybe_scalar(h * sum(terms.values())),
                 error_bound=math.inf,
             )
-        new = [side * j for side in todo
-               for j in range(reach[side] + 1, min(reach[side] + 4, cap) + 1)]
-        terms.update(zip(new, terms_at(h * np.asarray(new, dtype=float))))
+        add([side * j for side in todo
+             for j in range(reach[side] + 1, min(reach[side] + 4, cap) + 1)])
         for side in todo:
             reach[side] = min(reach[side] + 4, cap)
     # each side ends one node past its outermost term that is not negligible
@@ -308,7 +305,8 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
     for level in range(1, _DE_HALVINGS + 1):
         h *= 0.5
         # the new nodes: odd multiples of h inside the first level's range
-        new = terms_at(h * np.arange(1 - (ends[-1] << level), ends[1] << level, 2.0))
+        new = _halfline_terms(g, h * np.arange(1 - (ends[-1] << level), ends[1] << level, 2.0),
+                              rapid)
         prev, total = total, 0.5 * total + h * new.sum(axis=0)
         mass = 0.5 * mass + h * np.abs(new).sum(axis=0)
         if level == 1:

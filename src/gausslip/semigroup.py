@@ -48,12 +48,16 @@ and the weights are multiplied into those values once; only F and the
 offsets y - x stay.  At each s-node the Mehler kernel, a product of 1-d
 kernels, is applied to F one axis at a time: per point its exponents are
 one small matrix product, raised to ``_EXP_FLOOR``, and its normaliser
-multiplies the sums.  The semigroup runs only at the s-nodes where
-d^k g/dt^k is nonzero.  The pointwise kernels ``ph_kernel`` /
-``ph_kernel_time_derivative`` run one s-integral per call whose payload is
-every (x, y) pair of the broadcast batches, with the same exponent floor;
-the L^1 routine passes its one x through the same payload, since it needs
-|p| pointwise in y.
+multiplies the sums; past s ~ 37.4 every s-node shares the s = inf column.
+The semigroup runs only at the s-nodes where d^k g/dt^k is nonzero.  The
+pointwise kernels ``ph_kernel`` / ``ph_kernel_time_derivative`` run one
+s-integral per call whose payload is every (x, y) pair of the broadcast
+batches, with the same exponent floor; the L^1 routine passes its one x
+through the same payload, since it needs |p| pointwise in y.
+
+The half-line rule passes every new s-node of a step in one call; the
+s-integrands block their temporaries over s-nodes and points within one
+budget, ``_BLOCK_VALUES``.
 
 Pointwise callables follow the batch contract of ``quadrature.eval_batch``:
 point batches of shape (n, d) in, shape (n,) out.
@@ -97,6 +101,13 @@ _Y_MARGIN = 8.0
 # the weights multiply it in; each floored term adds at most
 # e^{-690} (pi (1-r^2))^{-d/2} |w F| to a sum
 _EXP_FLOOR = -690.0
+
+# values per block of every temporary the s-integrands make (1 MiB of
+# float64).  The half-line rule passes a whole level of s-nodes per call, so
+# ``_mehler_gauss_hermite``, ``_mehler_contract`` and ``_ph_kernel_payload``
+# block over s-nodes as well as over points: no temporary grows with the
+# size of a level, only the (S, ...) payload itself
+_BLOCK_VALUES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -217,11 +228,15 @@ def _check_kernel_order(k: int) -> None:
 # T_s by Mehler's formula
 # ----------------------------------------------------------------------------
 
-# f-values per s-node in one block of ``_mehler_gauss_hermite``: 256 points
-# on the 64-node rule at d = 1, 4 at d = 2 (one at d = 3, which has more);
-# keeps its (S, block, m^d) node and value arrays near 1 MB for the
-# half-line rule's 8 s-nodes per call
-_GH_BLOCK_VALUES = 16384
+def _blocks(points: int, per_point: int, per_pair: int) -> tuple:
+    """Points and s-nodes per block: ``per_point`` values per point and
+    ``per_pair`` per (s-node, point) pair stay within ``_BLOCK_VALUES``, with
+    at least one of each.  The points come first, a power of two of them:
+    BLAS sums the rows of a (block, n) @ (n,) product four at a time, so each
+    point's sum is then the same at every block size."""
+    fit = _BLOCK_VALUES // max(per_point, per_pair)
+    xb = max(1, min(points, 1 << max(fit.bit_length() - 1, 0)))
+    return xb, max(1, _BLOCK_VALUES // (xb * per_pair))
 
 
 def _mehler_gauss_hermite(f, s: np.ndarray, pts: np.ndarray, nodes) -> np.ndarray:
@@ -230,20 +245,22 @@ def _mehler_gauss_hermite(f, s: np.ndarray, pts: np.ndarray, nodes) -> np.ndarra
         T_s f(x) = ∫ f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y)
 
     on the tensor Gauss-Hermite rule ``nodes`` (points (m^d, d), weights).
-    ``f`` is evaluated once per block of points, on all S * block * m^d
-    points of the block.
+    ``f`` is evaluated once per block of s-nodes and points, on its
+    (sb, block, m^d) rule points: their d coordinates and f's values count
+    against ``_BLOCK_VALUES``.
     """
     U, wu = nodes
     X, d = pts.shape
     r = np.exp(-s)[:, None, None, None]
     sig = np.sqrt(-np.expm1(-2.0 * s))[:, None, None, None]
-    block = max(1, _GH_BLOCK_VALUES // U.shape[0])
-    out = np.empty((s.shape[0], X))
-    for lo in range(0, X, block):
-        xb = pts[lo:lo + block]
-        z = r * xb[None, :, None, :] + sig * U[None, None, :, :]
-        fv = eval_batch(f, z.reshape(-1, d)).reshape(s.shape[0], xb.shape[0], U.shape[0])
-        out[:, lo:lo + block] = fv @ wu
+    xb, sb = _blocks(X, 0, U.shape[0] * (d + 1))
+    out = np.empty((s.size, X))
+    for lo in range(0, X, xb):
+        x = pts[None, lo:lo + xb, None, :]
+        for so in range(0, s.size, sb):
+            z = r[so:so + sb] * x + sig[so:so + sb] * U
+            fv = eval_batch(f, z.reshape(-1, d)).reshape(z.shape[:3])
+            out[so:so + sb, lo:lo + xb] = fv @ wu
     return out / math.pi ** (d / 2.0)
 
 
@@ -269,7 +286,8 @@ def _subordinate(t: float, k: int, semigroup, tol: float) -> np.ndarray:
         live = g != 0.0
         v = np.zeros(sv.shape + limit.shape)
         if live.any():
-            terms = semigroup(sv[live]) - limit
+            terms = semigroup(sv[live])
+            terms -= limit
             terms *= g[live].reshape((-1,) + (1,) * limit.ndim)
             v[live] = terms
         return v.reshape(np.shape(s) + limit.shape)
@@ -362,12 +380,6 @@ def _contraction_operands(t: float, pts: np.ndarray, func):
 # Separable Mehler contraction
 # ----------------------------------------------------------------------------
 
-# x-points per block of ``_mehler_contract``: for the half-line rule's 8
-# s-nodes per call and ~600 nodes per axis, its (block, S, N) exponents are
-# ~2.5 MB and its (block, 3, N) rows ~1 MB, next to the (X, N) offsets and F
-_X_BLOCK = 64
-
-
 def _mehler_contract(s: np.ndarray, pts: np.ndarray, offsets, WF: np.ndarray) -> np.ndarray:
     """Sum over a tensor y-grid of M_s(x, y) w(y) F(x; y), shape (S, X).
 
@@ -375,34 +387,62 @@ def _mehler_contract(s: np.ndarray, pts: np.ndarray, offsets, WF: np.ndarray) ->
     is d successive 1-d contractions of ``WF`` = w F (shape (X, N_1, ...,
     N_d)) with the factors exp(-(c - m)^2 / (1 - r^2)), r = e^{-s}, of the
     offsets c = y_a - x_a (``offsets[a]``, shape (X, N_a)) and m = (r - 1) x_a:
-    O(N d) exponentials per s-node and point instead of O(N^d).  Per block
-    the exponents are one product of (block, S, 3) coefficients with the
-    (block, 3, N_a) rows (-c^2, c, 1), raised to ``_EXP_FLOOR``; the
-    normaliser (pi (1 - r^2))^{-d/2} multiplies the (S, X) sums.
+    O(N d) exponentials per s-node and point instead of O(N^d).
+
+    The sum depends on s only through r - 1 and 1 - r^2.  Past s ~ 37.4 both
+    round to their values at s = inf, -1 and 1, so every such node gets the
+    s = inf column bit for bit, computed once.
     """
-    X, d = pts.shape
-    one_minus_r2 = -np.expm1(-2.0 * s)
-    inv = 1.0 / one_minus_r2
     # the centre r x with r rounded as ``_mehler_log`` rounds it
     r_minus_1 = np.exp(-s) - 1.0
-    m = np.multiply.outer(pts.T, r_minus_1)                          # (d, X, S)
-    coef = np.stack([np.broadcast_to(inv, m.shape), 2.0 * inv * m, -inv * m * m], axis=-1)
-    out = np.empty((s.size, X))
-    for lo in range(0, X, _X_BLOCK):
-        blk = slice(lo, lo + _X_BLOCK)
-        acc = WF[blk].reshape(len(pts[blk]), 1, -1)
-        for a, c in enumerate(offsets):
-            cb = c[blk]
+    one_minus_r2 = -np.expm1(-2.0 * s)
+    far = (r_minus_1 == -1.0) & (one_minus_r2 == 1.0)
+    out = np.empty((s.size, pts.shape[0]))
+    if not far.all():
+        out[~far] = _contract(r_minus_1[~far], one_minus_r2[~far], pts, offsets, WF)
+    if far.any():
+        out[far] = _contract(np.array([-1.0]), np.array([1.0]), pts, offsets, WF)
+    return out
+
+
+def _contract(r_minus_1: np.ndarray, one_minus_r2: np.ndarray, pts: np.ndarray,
+              offsets, WF: np.ndarray) -> np.ndarray:
+    """``_mehler_contract`` at the s-nodes of these r - 1 and 1 - r^2.
+
+    Per block of points and s-nodes and per axis, the exponents are one
+    product of (block, sb, 3) coefficients with the (block, 3, N_a) rows
+    (-c^2, c, 1), raised to ``_EXP_FLOOR``; the normaliser
+    (pi (1 - r^2))^{-d/2} multiplies the (S, X) sums.  The rows of every axis
+    count against ``_BLOCK_VALUES`` per point, and per (s-node, point) the
+    largest axis's exponents and the partial sum after the first axis.
+    """
+    X, d = pts.shape
+    sizes = [c.shape[1] for c in offsets]
+    inv = 1.0 / one_minus_r2
+    xb, sb = _blocks(X, 3 * sum(sizes), max(sizes) + math.prod(sizes[1:]))
+    out = np.empty((inv.size, X))
+    for lo in range(0, X, xb):
+        blk = slice(lo, lo + xb)
+        rows = []
+        for c in offsets:
             # (-c^2, c, 1) written in place: a stack of temporaries adds
             # ~0.9 MB to the peak RSS of the nested kernel route
-            rows = np.empty((cb.shape[0], 3, cb.shape[1]))
-            np.multiply(cb, cb, out=rows[:, 0])
-            np.negative(rows[:, 0], out=rows[:, 0])
-            rows[:, 1] = cb
-            rows[:, 2] = 1.0
-            factor = _floored_exp(coef[a, blk] @ rows)[:, :, None, :]  # (block, S, 1, N_a)
-            acc = (factor @ acc.reshape(acc.shape[:2] + (cb.shape[-1], -1)))[:, :, 0, :]
-        out[:, blk] = acc[:, :, 0].T
+            row = np.empty((c[blk].shape[0], 3, c.shape[1]))
+            np.multiply(c[blk], c[blk], out=row[:, 0])
+            np.negative(row[:, 0], out=row[:, 0])
+            row[:, 1] = c[blk]
+            row[:, 2] = 1.0
+            rows.append(row)
+        for so in range(0, inv.size, sb):
+            sl = slice(so, so + sb)
+            acc = WF[blk].reshape(len(pts[blk]), 1, -1)
+            for a, row in enumerate(rows):
+                m = np.multiply.outer(pts[blk, a], r_minus_1[sl])        # (block, sb)
+                coef = np.stack([np.broadcast_to(inv[sl], m.shape), 2.0 * inv[sl] * m,
+                                 -inv[sl] * m * m], axis=-1)
+                factor = _floored_exp(coef @ row)[:, :, None, :]       # (block, sb, 1, N_a)
+                acc = (factor @ acc.reshape(acc.shape[:2] + (row.shape[-1], -1)))[:, :, 0, :]
+            out[sl, blk] = acc[:, :, 0].T
     out *= (math.pi * one_minus_r2[:, None]) ** (-0.5 * d)
     return out
 
@@ -462,9 +502,21 @@ def ou_apply(f, q: SemigroupQuery, *, d: int = 1):
 def _ph_kernel_payload(t: float, X: np.ndarray, Y: np.ndarray, d: int,
                        k: int, tol: float) -> np.ndarray:
     """∫ d^k/dt^k g(t, s) mehler(s, x_i, y_i) ds for the (P, d) point pairs
-    (X_i, Y_i), as one s-integral with a payload component per pair."""
-    return _subordinate(
-        t, k, lambda s: _floored_exp(_mehler_log(s[:, None], X[None], Y[None], d)), tol)
+    (X_i, Y_i), as one s-integral with a payload component per pair.  The
+    kernel values are formed per block of s-nodes and pairs, whose
+    coordinates of r x and y - r x count against ``_BLOCK_VALUES``."""
+    P = X.shape[0]
+
+    def mehler(s):
+        out = np.empty((s.size, P))
+        pb, sb = _blocks(P, 0, 2 * d)
+        for lo in range(0, P, pb):
+            for so in range(0, s.size, sb):
+                out[so:so + sb, lo:lo + pb] = _floored_exp(_mehler_log(
+                    s[so:so + sb, None], X[None, lo:lo + pb], Y[None, lo:lo + pb], d))
+        return out
+
+    return _subordinate(t, k, mehler, tol)
 
 
 def _ph_kernel_values(t: float, x, y, d: int, k: int, tol: float):

@@ -105,6 +105,13 @@ class TestGridPoints:
             with pytest.raises(ValueError, match="grid_points"):
                 probe()
 
+    @pytest.mark.parametrize("x_radius", ["3", None, [3.0], np.array([2.0, 3.0]), 3.0j])
+    def test_non_numeric_x_radius_named(self, x_radius):
+        with pytest.raises(ValueError, match="x_radius"):
+            sup_norm_estimate(_cos(), x_radius)
+        with pytest.raises(ValueError, match="x_radius"):
+            seminorm_estimate(_rough(), 0.5, T_GRID, x_radius)
+
     def test_numpy_scalars_accepted(self):
         assert sup_norm_estimate(_rough(), 3.0, np.int64(121)) == sup_norm_estimate(_rough())
         assert sup_norm_estimate(_rough(), np.array(3.0)) == sup_norm_estimate(_rough())

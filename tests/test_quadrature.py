@@ -185,16 +185,29 @@ class TestHalfline:
         with pytest.raises(ValueError):
             integrate_halfline(lambda s: np.exp(-s), -1e-8)
 
-    def test_payload_in_batches_of_at_most_eight_nodes(self):
-        sizes = []
+    def test_payload_in_one_call_per_step(self):
+        # the first level (|tau| <= 3 at h = 0.5), each step of the walk (at
+        # most four nodes a side, on the first step's grid) and each halving
+        # level (the odd multiples of the new step) come in one call each
+        taus = []
 
         def g(s):
-            sizes.append(s.size)
+            taus.append(np.arcsinh(np.log(s) / (0.5 * math.pi)))
             return np.stack([np.exp(-s), s * np.exp(-s), np.exp(-2.0 * s)], axis=-1)
 
         got = integrate_halfline(g, 1e-10)
         assert got == pytest.approx([1.0, 1.0, 0.5], rel=1e-10)
-        assert max(sizes) <= 8
+        np.testing.assert_allclose(taus[0], 0.5 * np.arange(-6, 7), atol=1e-12)
+        walk = [tau for tau in taus[1:] if np.allclose(2.0 * tau, np.round(2.0 * tau))]
+        levels = taus[1 + len(walk):]
+        assert walk and all(tau.size <= 8 and np.all(np.abs(tau) > 3.0) for tau in walk)
+        assert len(levels) >= 2
+        for level, tau in enumerate(levels, start=1):
+            h = 0.5 / 2 ** level
+            assert round(tau[0] / h) % 2 == 1
+            np.testing.assert_allclose(tau, h * np.arange(tau[0] / h, tau[-1] / h + 1.0, 2.0),
+                                       atol=1e-12)
+            assert tau.size == levels[0].size * 2 ** (level - 1)
 
     def test_cancellation_below_rounding_raises(self):
         # ∫ c (e^{-s} - 2 e^{-2s}) ds = 0, but the terms carry mass ~c, whose
