@@ -9,9 +9,9 @@ expansion.  A probe gets its t-rows from (T, N+1) symbol matrices, t down the
 column and the chaos level along the row: multiplied into a coefficient
 vector they give the coefficients of every row.  Every row of a probe (f, its
 t-rows and, for the boundedness probe, op(f) and its rows on both t-grids) is
-one row of one coefficient array, and one sup-norm pass evaluates it: the
-coarse grid, then the refinement windows around the distinct coarse argmaxes,
-each contracted with only its own rows.  The grid, the windows of every
+one row of one coefficient array, and one sup-norm pass evaluates it into
+value, location and boundary arrays: the coarse grid, then each row on the
+refinement window around its own coarse argmax.  The grid, the windows of every
 coarse node and their Hermite tables depend only on (N, R, P) and are built
 once per process per key (``_sup_grid``, ``_sup_tables``): (N+1) P 42 float64,
 1.7 MB at N = 40, P = 121.
@@ -118,13 +118,14 @@ def _sup_tables(n_max: int, x_radius: float, grid_points: int) -> tuple:
                       hermite.hermite_values_1d(n_max, windows))
 
 
-def _sup_norms(fs, x_radius: float, grid_points: int) -> list:
+def _sup_norms(fs, x_radius: float, grid_points: int) -> tuple:
     """``sup_norm_estimate`` of one callable, or of each row of a (K, N+1)
-    coefficient array of d=1 expansions.
+    coefficient array of d=1 expansions, as (K,) value, location and boundary.
 
-    The coarse pass evaluates every row on the grid.  The fine pass takes the
-    windows around the distinct coarse argmaxes and contracts each window's
-    table with only the rows whose argmax it surrounds.
+    One evaluator, picked once, gives the rows at points with their coarse
+    grid index (None on the coarse grid): the cached Hermite tables for an
+    array, ``eval_batch`` for a callable.  The coarse pass evaluates every
+    row on the grid, the fine pass each row on its own coarse argmax's window.
     """
     if not isinstance(grid_points, (int, np.integer)):
         raise ValueError(f"grid_points must be an integer, got {grid_points!r}")
@@ -139,28 +140,28 @@ def _sup_norms(fs, x_radius: float, grid_points: int) -> list:
     x_radius = float(x_radius)  # a cache key: a 0-d array is unhashable
     xs, windows = _sup_grid(x_radius, grid_points)
     if callable(fs):
-        vals = np.abs(eval_batch(fs, xs[:, None]))[None]
+        def rows(points, index):
+            return eval_batch(fs, points.reshape(-1, 1)).reshape(-1, points.shape[-1])
     else:
         coarse_table, window_table = _sup_tables(fs.shape[1] - 1, x_radius, grid_points)
-        vals = np.abs(np.einsum("tn,nb->tb", fs, coarse_table))
+        by_node = np.moveaxis(window_table, 1, 0)  # (P, N+1, 41), a view
+
+        def rows(points, index):
+            if index is None:
+                return np.einsum("tn,nb->tb", fs, coarse_table)
+            # each row against its own window's (N+1, 41) table, gathered 8
+            # rows at a time (one (K, N+1, 41) gather is 1.8 MB at K = 132)
+            out = np.empty(points.shape)
+            for lo in range(0, len(fs), 8):
+                out[lo:lo + 8] = np.einsum("tn,tnb->tb", fs[lo:lo + 8], by_node[index[lo:lo + 8]])
+            return out
+    vals = np.abs(rows(xs, None))
     i = np.argmax(vals, axis=1)
-    # bincount, not np.unique: np.unique imports numpy.ma on first use
-    centers = np.flatnonzero(np.bincount(i, minlength=grid_points))
-    fine = windows[centers]
-    if callable(fs):
-        fvals = np.abs(eval_batch(fs, fine.reshape(-1, 1))).reshape(fine.shape)
-    else:
-        fvals = np.empty((len(fs), fine.shape[1]))
-        for center in centers:
-            members = i == center
-            fvals[members] = np.abs(np.einsum("tn,nb->tb", fs[members],
-                                              window_table[:, center]))
+    fvals = np.abs(rows(windows[i], i))
     j = np.argmax(fvals, axis=1)
     coarse, refined = vals.max(axis=1), fvals.max(axis=1)
-    location = np.where(refined >= coarse, fine[np.searchsorted(centers, i), j], xs[i])
-    boundary = (i == 0) | (i == grid_points - 1)
-    return [SupNorm(value=v, location=x, boundary=b) for v, x, b in
-            zip(np.maximum(refined, coarse).tolist(), location.tolist(), boundary.tolist())]
+    location = np.where(refined >= coarse, windows[i, j], xs[i])
+    return np.maximum(refined, coarse), location, (i == 0) | (i == grid_points - 1)
 
 
 def sup_norm_estimate(f, x_radius: float = 3.0, grid_points: int = 121) -> SupNorm:
@@ -171,14 +172,15 @@ def sup_norm_estimate(f, x_radius: float = 3.0, grid_points: int = 121) -> SupNo
     """
     if isinstance(f, HermiteExpansion):
         f = _as_expansion(f).vector[None]
-    return _sup_norms(f, x_radius, grid_points)[0]
+    return SupNorm(*(a.item() for a in _sup_norms(f, x_radius, grid_points)))
 
 
 def _sups_with_f(e: HermiteExpansion, symbol: np.ndarray, x_radius: float,
-                 grid_points: int) -> list:
-    """Sup-norms of f and then of its image under each row of the (T, N+1)
-    ``symbol``, from one (1 + T, N+1) coefficient array."""
-    return _sup_norms(np.vstack([e.vector, e.vector * symbol]), x_radius, grid_points)
+                 grid_points: int) -> tuple:
+    """The sup-norm of f, those of its image under each row of the (T, N+1)
+    ``symbol`` and f's boundary flag, from one (1 + T, N+1) coefficient array."""
+    value, _, edge = _sup_norms(np.vstack([e.vector, e.vector * symbol]), x_radius, grid_points)
+    return value[0].item(), value[1:].tolist(), edge[0]
 
 
 def _derivative_symbol(e: HermiteExpansion, order: int, t_grid) -> np.ndarray:
@@ -200,18 +202,19 @@ def _check_order(alpha: float, n: int | None) -> int:
     return n
 
 
-def _estimate(alpha: float, n: int, t_grid: tuple, x_radius: float, sup_f: SupNorm,
-              sups) -> LipschitzEstimate:
-    """The estimate whose f row is ``sup_f`` and whose t-rows are ``sups``."""
-    flags = ["boundary"] if sup_f.boundary else []
-    rows = [SeminormRow(t=t, sup_norm=sup.value, weighted=t ** (n - alpha) * sup.value)
+def _estimate(alpha: float, n: int, t_grid: tuple, x_radius: float, sup_f: float,
+              sups: list, boundary: bool) -> LipschitzEstimate:
+    """The estimate whose f row has the sup-norm ``sup_f`` (its argmax on the
+    box edge if ``boundary``) and whose t-rows have the sup-norms ``sups``."""
+    flags = ["boundary"] if boundary else []
+    rows = [SeminormRow(t=t, sup_norm=sup, weighted=t ** (n - alpha) * sup)
             for t, sup in zip(t_grid, sups)]
     weighted = [r.weighted for r in rows]
     a_alpha = max(weighted)
     if len(rows) >= 2 and weighted[0] == a_alpha and weighted[0] > 1.02 * weighted[1] > 0:
         flags.append("non_convergent")
     return LipschitzEstimate(alpha=alpha, n=n, t_grid=t_grid, x_radius=x_radius,
-                             a_alpha=a_alpha, sup_norm_f=sup_f.value,
+                             a_alpha=a_alpha, sup_norm_f=sup_f,
                              rows=tuple(rows), flags=tuple(flags))
 
 
@@ -228,8 +231,8 @@ def seminorm_estimate(f, alpha: float, t_grid=None, x_radius: float = 3.0, *,
     n = _check_order(alpha, n)
     t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
-    sup_f, *sups = _sups_with_f(e, _derivative_symbol(e, n, t_grid), x_radius, grid_points)
-    return _estimate(alpha, n, t_grid, x_radius, sup_f, sups)
+    sup_f, sups, edge = _sups_with_f(e, _derivative_symbol(e, n, t_grid), x_radius, grid_points)
+    return _estimate(alpha, n, t_grid, x_radius, sup_f, sups, edge)
 
 
 @dataclass(frozen=True)
@@ -263,7 +266,7 @@ def modulus_probe(f, alpha: float, n: int | None = None, t_grid=None, *,
     e = _as_expansion(f, degree_cap)
     # (P_t - I)^n acts on chaos level m by (e^{-sqrt(m) t} - 1)^n
     symbol = np.expm1(-np.sqrt(np.arange(e.degree_cap + 1)) * np.array(t_grid)[:, None]) ** n
-    sup_f, *norms = [sup.value for sup in _sups_with_f(e, symbol, x_radius, grid_points)]
+    sup_f, norms, _ = _sups_with_f(e, symbol, x_radius, grid_points)
     rows = tuple(ModulusRow(t=t, norm=norm, ratio=norm / t ** alpha)
                  for t, norm in zip(t_grid, norms))
     return ModulusReport(alpha=alpha, n=n, rows=rows,
@@ -296,9 +299,9 @@ def derivative_equivalence_probe(f, alpha: float, k: int, l: int, t_grid=None, *
     t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
     symbol = np.vstack([_derivative_symbol(e, k, t_grid), _derivative_symbol(e, l, t_grid)])
-    sup_f, *sups = _sups_with_f(e, symbol, x_radius, grid_points)
-    est_k = _estimate(alpha, k, t_grid, x_radius, sup_f, sups[:len(t_grid)])
-    est_l = _estimate(alpha, l, t_grid, x_radius, sup_f, sups[len(t_grid):])
+    sup_f, sups, edge = _sups_with_f(e, symbol, x_radius, grid_points)
+    est_k = _estimate(alpha, k, t_grid, x_radius, sup_f, sups[:len(t_grid)], edge)
+    est_l = _estimate(alpha, l, t_grid, x_radius, sup_f, sups[len(t_grid):], edge)
     # projection roundoff leaves ~1e-16 coefficients on exactly-flat inputs
     noise = 1e-12 * (1.0 + est_k.sup_norm_f)
     if est_k.a_alpha <= noise and est_l.a_alpha <= noise:
@@ -339,8 +342,8 @@ def inclusion_probe(f, alpha1: float, alpha2: float, t_grid=None, *,
     n = _check_order(alpha2, None)
     t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
-    sups = _sup_norms(e.vector * _derivative_symbol(e, n, t_grid), x_radius, grid_points)
-    sup_rows = [(t, sup.value) for t, sup in zip(t_grid, sups)]
+    sups = _sup_norms(e.vector * _derivative_symbol(e, n, t_grid), x_radius, grid_points)[0]
+    sup_rows = list(zip(t_grid, sups.tolist()))
     a1 = max(t ** (n - alpha1) * s for t, s in sup_rows)
     a2 = max(t ** (n - alpha2) * s for t, s in sup_rows)
     c_remark = max((t ** n * s for t, s in sup_rows if t >= 1.0), default=0.0)
@@ -411,16 +414,16 @@ def operator_boundedness_probe(op: FractionalSpec, f_suite, alpha: float,
     stacked = np.zeros((len(blocks) * width, max((b.shape[1] for b in blocks), default=1)))
     for r, block in enumerate(blocks):
         stacked[r * width:(r + 1) * width, :block.shape[1]] = block
-    sups = _sup_norms(stacked, x_radius, grid_points)
+    value, _, boundary = _sup_norms(stacked, x_radius, grid_points)
     rows = []
     stable = True
     for r, name in enumerate(names):
-        block = sups[r * width:(r + 1) * width]
-        source = _estimate(alpha, n, t_grid, x_radius, block[0], block[1:1 + size])
+        block, edge = value[r * width:(r + 1) * width].tolist(), boundary[r * width:]
+        source = _estimate(alpha, n, t_grid, x_radius, block[0], block[1:1 + size], edge[0])
         target = _estimate(target_alpha, m, t_grid, x_radius, block[1 + size],
-                           block[2 + size:2 + 2 * size])
+                           block[2 + size:2 + 2 * size], edge[1 + size])
         target_ref = _estimate(target_alpha, m, refined, x_radius, block[1 + size],
-                               block[2 + 2 * size:])
+                               block[2 + 2 * size:], edge[1 + size])
         src_norm = source.sup_norm_f + source.a_alpha
         flags = tuple(sorted(set(source.flags) | set(target.flags)))
         if src_norm == 0.0:

@@ -17,8 +17,8 @@ Representations:
                          -hypot(min(x_i, 0), 8) <= y_i <= hypot(max(x_i, 0), 8),
                          where e^{-s} x_i +- 8 sqrt(1 - e^{-2s}) reach over
                          s); for T_t, Mehler's formula (below),
-  * ``subordination`` -- s-integral of T_s against g(t, s), T_s by Mehler's
-                         formula.
+  * ``subordination`` -- s-integral of T_s against d^k g/dt^k (t, s),
+                         k <= 3, T_s by Mehler's formula.
 
 Mehler's formula writes T_s as a Gaussian average,
 
@@ -121,6 +121,7 @@ class SemigroupQuery:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        _check_integer_order(self.derivative_order)
         if self.derivative_order < 0:
             raise ValueError("derivative_order must be >= 0")
         if not 0 <= self.t < math.inf:
@@ -217,7 +218,13 @@ def _check_time(t: float) -> None:
         raise ValueError("time t must be positive and finite")
 
 
+def _check_integer_order(k) -> None:
+    if not float(k).is_integer():
+        raise ValueError(f"derivative order {k} must be an integer")
+
+
 def _check_kernel_order(k: int) -> None:
+    _check_integer_order(k)
     if k > 3:
         raise NotImplementedError(
             "kernel time derivatives are implemented for k <= 3; use the "
@@ -554,9 +561,10 @@ def ph_kernel_time_derivative(t: float, x, y, k: int, tol: float = 1e-9, d: int 
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=4096)
-def _subordination_multiplier(t: float, levels: tuple, tol: float) -> np.ndarray:
-    """lambda_n(t) = ∫_0^infty e^{-n s} g(t, s) ds (equals e^{-sqrt(n) t}) for
-    every n in ``levels``, as one read-only array.
+def _subordination_multiplier(t: float, levels: tuple, k: int, tol: float) -> np.ndarray:
+    """lambda_n(t) = ∫_0^infty e^{-n s} d^k/dt^k g(t, s) ds (equals
+    (-sqrt(n))^k e^{-sqrt(n) t}) for every n in ``levels``, k <= 3, as one
+    read-only array.
 
     One s-integral whose payload holds T_s on each level; its stopping rule
     holds every level to ``tol``, and its truncation is the union of theirs.
@@ -567,7 +575,7 @@ def _subordination_multiplier(t: float, levels: tuple, tol: float) -> np.ndarray
         # e^{-n s}; on level 0 it is 1 at every s, s = inf included
         return np.exp(np.multiply.outer(-s, n, out=np.zeros((s.size, n.size)), where=n > 0))
 
-    out = _subordinate(t, 0, on_levels, tol)
+    out = _subordinate(t, k, on_levels, tol)
     out.setflags(write=False)
     return out
 
@@ -584,8 +592,9 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
     """Apply d^k/dt^k P_t in the representation selected by ``q``.
 
     spectral      : expansion -> expansion, multiplier (-sqrt(n))^k e^{-sqrt(n) t}
-    subordination : k = 0 only; expansion -> expansion via one s-integral over its levels,
+    subordination : expansion -> expansion via one s-integral over its levels,
                     callable -> callable via Gauss-Hermite evaluation of T_s
+                    (accurate for smooth f); k <= 3
     kernel        : callable (or wrapped expansion) -> callable via p(t, x, y)
                     quadrature on a graded truncated y-grid; k <= 3.
     """
@@ -596,21 +605,17 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
             raise ValueError("the spectral method requires a HermiteExpansion input")
         return scale_by_level(f, lambda n: ph_symbol(t, n, k))
 
+    _check_kernel_order(k)
     if q.method == "subordination":
-        if k > 0:
-            raise NotImplementedError(
-                "derivative_order > 0 is not supported with the subordination "
-                "method; use the spectral or kernel representation")
         if isinstance(f, HermiteExpansion):
             return scale_by_level(
-                f, lambda n: _subordination_multiplier(t, tuple(n.tolist()), tol))
+                f, lambda n: _subordination_multiplier(t, tuple(n.tolist()), k, tol))
         nodes = tensor_nodes(default_rule(), d)
         return _pointwise(d, lambda pts: _subordinate(
-            t, 0, lambda s: _mehler_gauss_hermite(f, s, pts, nodes), tol))
+            t, k, lambda s: _mehler_gauss_hermite(f, s, pts, nodes), tol))
 
     # kernel method
     func, dim = _callable(f, d)
-    _check_kernel_order(k)
 
     def kernel_values(pts):
         offsets, WF = _contraction_operands(t, pts, func)
@@ -646,6 +651,7 @@ def derivative_weight_mass(t: float, k: int) -> float:
     C_3 = 6.1445366794509875, in closed form (``_weight_mass_constant``).
     """
     _check_time(t)
+    _check_integer_order(k)
     if not 1 <= k <= 3:
         raise ValueError("derivative weight mass supports 1 <= k <= 3")
     return _weight_mass_constant(k) / t ** k

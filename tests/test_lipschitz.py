@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ def _coarse_windows(fs, x_radius=3.0, grid_points=121):
     """The coarse argmax index of each row of a coefficient array."""
     xs = np.linspace(-x_radius, x_radius, grid_points)
     return np.abs(eval_coefficients(fs, 1, fs.shape[1] - 1, xs[:, None])).argmax(axis=1)
+
+
+def _boundedness_rows(expansions):
+    """The coefficient array of one boundedness probe on ``expansions``: per
+    f its 66 rows (f, its t-rows, op(f), its rows on both t-grids)."""
+    refined = np.geomspace(T_GRID[0], T_GRID[-1], 2 * len(T_GRID))
+    blocks = []
+    for e in expansions:
+        image = apply_fractional(e, FractionalSpec("bessel_potential", 0.5)).vector
+        blocks += [e.vector, e.vector * lipschitz._derivative_symbol(e, 1, T_GRID),
+                   image, image * lipschitz._derivative_symbol(e, 1, T_GRID),
+                   image * lipschitz._derivative_symbol(e, 1, refined)]
+    return np.vstack(blocks)
 
 
 class TestSupNorm:
@@ -285,19 +299,15 @@ class TestBatchedRows:
                 == seminorm_estimate(expansion, 0.5, T_GRID).sup_norm_f)
         # one boundedness probe's 66 rows of f: rows that share a refinement
         # window inside the batch give what they give alone
-        image = apply_fractional(expansion, FractionalSpec("bessel_potential", 0.5)).vector
-        refined = np.geomspace(T_GRID[0], T_GRID[-1], 2 * len(T_GRID))
-        batch = np.vstack([expansion.vector,
-                           expansion.vector * lipschitz._derivative_symbol(expansion, 1, T_GRID),
-                           image, image * lipschitz._derivative_symbol(expansion, 1, T_GRID),
-                           image * lipschitz._derivative_symbol(expansion, 1, refined)])
+        batch = _boundedness_rows([expansion])
         assert batch.shape == (66, 41)
         windows = _coarse_windows(batch)
         shared = [r for r in range(66) if np.count_nonzero(windows == windows[r]) > 1]
         assert len(shared) >= 10
-        sups = lipschitz._sup_norms(batch, 3.0, 121)
-        assert [sups[r] == lipschitz._sup_norms(batch[r:r + 1], 3.0, 121)[0]
-                for r in shared] == [True] * len(shared)
+        value, location, boundary = lipschitz._sup_norms(batch, 3.0, 121)
+        alone = [lipschitz._sup_norms(batch[r:r + 1], 3.0, 121) for r in shared]
+        assert [(value[r], location[r], boundary[r]) == tuple(a[0] for a in one)
+                for r, one in zip(shared, alone)] == [True] * len(shared)
 
     def test_seminorm_builds_no_expansion_per_t_and_one_table_per_pass(self, expansion,
                                                                        monkeypatch):
@@ -324,6 +334,74 @@ class TestBatchedRows:
         # a second pass on the same (N, R, P) builds none
         assert seminorm_estimate(expansion, 1.5, T_GRID).rows
         assert calls == {"tables": 2, "per_t": 0}
+
+
+def _sup_norms_per_centre(fs, x_radius=3.0, grid_points=121):
+    """``_sup_norms`` of a coefficient array in its per-centre form: each
+    distinct coarse argmax's window table contracted with only its rows."""
+    xs, windows = lipschitz._sup_grid(x_radius, grid_points)
+    coarse_table, window_table = lipschitz._sup_tables(fs.shape[1] - 1, x_radius, grid_points)
+    vals = np.abs(np.einsum("tn,nb->tb", fs, coarse_table))
+    i = np.argmax(vals, axis=1)
+    fvals = np.empty((len(fs), windows.shape[1]))
+    for center in sorted(set(i.tolist())):
+        members = i == center
+        fvals[members] = np.abs(np.einsum("tn,nb->tb", fs[members], window_table[:, center]))
+    j = np.argmax(fvals, axis=1)
+    coarse, refined = vals.max(axis=1), fvals.max(axis=1)
+    location = np.where(refined >= coarse, windows[i, j], xs[i])
+    return np.maximum(refined, coarse), location, (i == 0) | (i == grid_points - 1)
+
+
+class TestSupNormCore:
+    """``_sup_norms`` returns value, location and boundary arrays; its blocked
+    fine pass gives, bit for bit, the per-centre contraction."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        batch = _boundedness_rows([project(_cos(), 1, 40), _rough()])
+        assert batch.shape == (132, 41)
+        return batch
+
+    @pytest.mark.parametrize("K", [1, 15, 16, 17, 33, 132])
+    def test_matches_the_per_centre_loop(self, rows, K):
+        # interleave the two functions' rows, so shared windows span blocks
+        fs = rows[np.argsort(np.arange(132) % 66, kind="stable")][:K]
+        got = lipschitz._sup_norms(fs, 3.0, 121)
+        want = _sup_norms_per_centre(fs)
+        assert [g.shape for g in got] == [(K,)] * 3
+        assert got[2].dtype == bool
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        if K == 132:
+            windows = _coarse_windows(fs)
+            counts = np.bincount(windows)[windows]
+            assert (counts > 1).sum() >= 10 and (counts == 1).sum() >= 1
+
+    def test_callable_rows(self):
+        value, location, boundary = lipschitz._sup_norms(lambda p: np.cos(p[:, 0]), 3.5, 121)
+        assert [a.shape for a in (value, location, boundary)] == [(1,)] * 3
+        est = sup_norm_estimate(lambda p: np.cos(p[:, 0]), 3.5)
+        assert (est.value, est.location, est.boundary) == (value[0], location[0], boundary[0])
+        assert type(est.value) is float and type(est.boundary) is bool
+
+    def test_warm_boundedness_probe_peak(self):
+        suite = [("cos", project(_cos(), 1, 40)), ("rough", _rough())]
+
+        def probe():
+            return operator_boundedness_probe(FractionalSpec("bessel_potential", 0.5), suite,
+                                              0.4, T_GRID)
+
+        probe()
+        tracemalloc.start()
+        try:
+            probe()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 0.40 MiB with the gathers of 8 rows' (41, 41) window tables;
+        # one gather of all 132 rows takes it to about 1.9 MiB
+        assert peak <= 0.5 * 2 ** 20
 
 
 class TestOnePassPerProbe:

@@ -19,6 +19,7 @@ from gausslip.semigroup import (
     ph_apply,
     ph_kernel,
     ph_kernel_time_derivative,
+    ph_symbol,
     stable_density,
 )
 
@@ -45,6 +46,31 @@ class TestQueryValidation:
         # spectral at t = inf made the mean coefficient exp(-0 inf) = nan
         with pytest.raises(ValueError, match="finite"):
             SemigroupQuery(t, method)
+
+
+class TestNonIntegerDerivativeOrder:
+    """A fractional order k is rejected by name, never run as k = 3 (the last
+    branch of the weight factor) or turned into a nan or a KeyError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda k: SemigroupQuery(0.5, "kernel", k),
+        lambda k: SemigroupQuery(0.5, "spectral", k),
+        lambda k: ph_kernel_time_derivative(0.5, 0.0, 0.1, k),
+        lambda k: derivative_weight_mass(0.5, k),
+        lambda k: kernel_derivative_l1(0.5, 0.0, k),
+    ], ids=["kernel-query", "spectral-query", "kernel-derivative", "weight-mass", "l1"])
+    @pytest.mark.parametrize("k", [1.5, 2.5, math.nan])
+    def test_rejected(self, call, k):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(k)
+
+    def test_integral_floats_still_run(self):
+        e = HermiteExpansion(1, 2, {(2,): 1.0})
+        for method in ("spectral", "subordination"):
+            out = ph_apply(e, SemigroupQuery(0.5, method, 2.0), tol=1e-9)
+            assert out.coefficient((2,)) == pytest.approx(
+                2.0 * math.exp(-0.5 * math.sqrt(2.0)), rel=1e-10)
+        assert derivative_weight_mass(0.5, 2.0) == derivative_weight_mass(0.5, 2)
 
 
 class TestMehlerKernel:
@@ -300,8 +326,7 @@ class TestPHApply:
     def test_subordination_multiplier_at_a_high_level(self, t):
         # e^{-400 s} g(t, s) is negligible near s = 1 and peaks at
         # s = t/40 (log s ~ -12.9 and -3.7)
-        semigroup._subordination_multiplier.cache_clear()
-        got = semigroup._subordination_multiplier(t, (400,), 1e-9)[0]
+        got = semigroup._subordination_multiplier(t, (400,), 0, 1e-9)[0]
         assert abs(got - math.exp(-20.0 * t)) <= 1e-9
 
     def test_subordination_on_expansion_makes_one_s_integral(self, monkeypatch):
@@ -313,7 +338,6 @@ class TestPHApply:
 
         subordinate = semigroup._subordinate
         monkeypatch.setattr(semigroup, "_subordinate", counted)
-        semigroup._subordination_multiplier.cache_clear()
         e = HermiteExpansion(1, 40, {(n,): 1.0 for n in range(41)})
         out = ph_apply(e, SemigroupQuery(0.3, "subordination"), tol=1e-9)
         assert len(calls) == 1
@@ -323,8 +347,8 @@ class TestPHApply:
     @pytest.mark.parametrize("t", [1e-3, 0.3, 5.0])
     def test_subordination_multiplier_vector_matches_single_levels(self, t):
         levels = (0, 1, 2, 7, 40, 400, 3000)
-        vector = semigroup._subordination_multiplier(t, levels, 1e-9)
-        single = [semigroup._subordination_multiplier(t, (n,), 1e-9)[0] for n in levels]
+        vector = semigroup._subordination_multiplier(t, levels, 0, 1e-9)
+        single = [semigroup._subordination_multiplier(t, (n,), 0, 1e-9)[0] for n in levels]
         assert not vector.flags.writeable
         assert vector[0] == 1.0
         assert np.max(np.abs(vector - single)) <= 1e-9
@@ -344,10 +368,32 @@ class TestPHApply:
                     wrong.append((t, n, got, want))
         assert wrong == []
 
-    def test_subordination_derivative_unsupported(self):
+    @pytest.mark.parametrize("t", [0.05, 0.2, 1.0, 2.0])
+    def test_subordination_derivatives_match_the_symbol(self, t):
+        # d^k/dt^k P_t h_n = (-sqrt(n))^k e^{-sqrt(n) t} h_n on both branches
+        xs = np.linspace(-2.5, 2.5, 7)[:, None]
+        for k in range(4):
+            for n in range(7):
+                want = ph_symbol(t, n, k)
+                q = SemigroupQuery(t, "subordination", k)
+                e = HermiteExpansion(1, n, {(n,): 1.0})
+                got = ph_apply(e, q, tol=1e-9).coefficient((n,))
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+                op = ph_apply(lambda p, n=n: hermite_eval((n,), p), q, tol=1e-9)
+                h = hermite_eval((n,), xs)
+                assert np.max(np.abs(op(xs) - want * h)) <= 1e-10 * abs(want) * np.max(np.abs(h))
+
+    def test_subordination_derivative_of_cos_far_out(self):
+        # a 30-digit mpmath quadrature and scipy give 5.55659346 at (t, x) = (0.05, -46.58)
+        op = ph_apply(lambda p: np.cos(p[:, 0]), SemigroupQuery(0.05, "subordination", 1),
+                      tol=1e-9)
+        assert op(np.array([[-46.58]]))[0] == pytest.approx(5.55659346, abs=5e-9)
+
+    def test_subordination_derivative_above_three_unsupported(self):
         e = HermiteExpansion(1, 1, {(1,): 1.0})
-        with pytest.raises(NotImplementedError):
-            ph_apply(e, SemigroupQuery(0.5, "subordination", 1))
+        for f in (e, lambda p: np.cos(p[:, 0])):
+            with pytest.raises(NotImplementedError):
+                ph_apply(f, SemigroupQuery(0.5, "subordination", 4))
 
     def test_kernel_matches_spectral_on_h3(self):
         op = ph_apply(lambda p: hermite_eval((3,), p), SemigroupQuery(0.5, "kernel"),
