@@ -200,11 +200,6 @@ def gauss_legendre_panels(breakpoints) -> tuple[np.ndarray, np.ndarray]:
 # Trapezoid rule over (0, oo) in tau (exp-sinh map) or in log s
 # ----------------------------------------------------------------------------
 
-def _weight_payload(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Multiply payload values (n, ...) by per-node weights (n,)."""
-    return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
-
-
 def _halfline_terms(g, u: np.ndarray, rapid: bool) -> np.ndarray:
     """g(s) ds/du at s = e^u (``rapid``) or s = exp((pi/2) sinh u), every
     node u in one call of g."""
@@ -213,7 +208,8 @@ def _halfline_terms(g, u: np.ndarray, rapid: bool) -> np.ndarray:
     else:
         s = np.exp(0.5 * math.pi * np.sinh(u))
         ds = 0.5 * math.pi * np.cosh(u) * s
-    return _weight_payload(eval_batch(g, s), ds)
+    vals = eval_batch(g, s)
+    return vals * ds.reshape(ds.shape + (1,) * (vals.ndim - 1))
 
 
 def _max_abs(v) -> float:

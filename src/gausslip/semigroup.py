@@ -30,9 +30,11 @@ exactly for polynomials of degree < 128 in each variable.  ``ou_apply`` and
 
 Every s-integral against d^k g/dt^k runs against T_s - T_inf, where T_inf f
 is the gamma-mean of f: the integrand then decays like e^{-s} instead of
-s^{-3/2}, and is 0 to float64 rounding once e^{-s} x is (s ~ 40).
-T_inf comes back in closed form, since ∫ g ds = 1 and ∫ d^k g/dt^k ds = 0
-for k >= 1.  The integral runs in u = log s (``integrate_halfline(rapid=True)``):
+s^{-3/2}.  T_inf comes back in closed form, since ∫ g ds = 1 and
+∫ d^k g/dt^k ds = 0 for k >= 1.  The term is exactly 0 where d^k g
+underflows to 0 and past a route's ``s_far``, where the float64 T_s is
+T_inf bit for bit; ``_subordinate`` runs the semigroup at neither.  The
+integral runs in u = log s (``integrate_halfline(rapid=True)``):
 e^{-t^2/4s} and e^{-s} vanish double-exponentially in u at both ends, so the
 trapezoid rule in u needs no further map, and it keeps the integrand's full
 strip of analyticity |Im u| < pi/2 where the mass sits (s ~ t^2), which the
@@ -48,12 +50,11 @@ and the weights are multiplied into those values once; only F and the
 offsets y - x stay.  At each s-node the Mehler kernel, a product of 1-d
 kernels, is applied to F one axis at a time: per point its exponents are
 one small matrix product, raised to ``_EXP_FLOOR``, and its normaliser
-multiplies the sums; past s ~ 37.4 every s-node shares the s = inf column.
-The semigroup runs only at the s-nodes where d^k g/dt^k is nonzero.  The
-pointwise kernels ``ph_kernel`` / ``ph_kernel_time_derivative`` run one
-s-integral per call whose payload is every (x, y) pair of the broadcast
-batches, with the same exponent floor; the L^1 routine passes its one x
-through the same payload, since it needs |p| pointwise in y.
+multiplies the sums.  The pointwise kernels ``ph_kernel`` /
+``ph_kernel_time_derivative`` run one s-integral per call whose payload is
+every (x, y) pair of the broadcast batches, with the same exponent floor;
+the L^1 routine passes its one x through the same payload, since it needs
+|p| pointwise in y.
 
 The half-line rule passes every new s-node of a step in one call; the
 s-integrands block their temporaries over s-nodes and points within one
@@ -104,10 +105,13 @@ _EXP_FLOOR = -690.0
 
 # values per block of every temporary the s-integrands make (1 MiB of
 # float64).  The half-line rule passes a whole level of s-nodes per call, so
-# ``_mehler_gauss_hermite``, ``_mehler_contract`` and ``_ph_kernel_payload``
-# block over s-nodes as well as over points: no temporary grows with the
-# size of a level, only the (S, ...) payload itself
+# ``_mehler_gauss_hermite``, ``_contract`` and ``_ph_kernel_payload`` block
+# over s-nodes as well as over points: no temporary grows with the size of a
+# level, only the (S, ...) payload itself
 _BLOCK_VALUES = 2 ** 17
+
+# ``_contract``'s s_far: e^{-s} - 1 and 1 - e^{-2s} round to -1 and 1 from 54 log 2 ~ 37.43 on
+_CONTRACT_S_FAR = 37.5
 
 
 @dataclass(frozen=True)
@@ -252,37 +256,51 @@ def _mehler_gauss_hermite(f, s: np.ndarray, pts: np.ndarray, nodes) -> np.ndarra
         T_s f(x) = ∫ f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y)
 
     on the tensor Gauss-Hermite rule ``nodes`` (points (m^d, d), weights).
-    ``f`` is evaluated once per block of s-nodes and points, on its
-    (sb, block, m^d) rule points: their d coordinates and f's values count
-    against ``_BLOCK_VALUES``.
+    ``f`` is evaluated once per block of s-nodes, points and rule nodes
+    (all of them up to d = 2), on its (sb, block, ub) rule points: their d
+    coordinates and f's values count against ``_BLOCK_VALUES``.
     """
     U, wu = nodes
     X, d = pts.shape
     r = np.exp(-s)[:, None, None, None]
     sig = np.sqrt(-np.expm1(-2.0 * s))[:, None, None, None]
-    xb, sb = _blocks(X, 0, U.shape[0] * (d + 1))
+    ub = min(U.shape[0], _BLOCK_VALUES // (d + 1))
+    xb, sb = _blocks(X, 0, ub * (d + 1))
     out = np.empty((s.size, X))
     for lo in range(0, X, xb):
         x = pts[None, lo:lo + xb, None, :]
         for so in range(0, s.size, sb):
-            z = r[so:so + sb] * x + sig[so:so + sb] * U
-            fv = eval_batch(f, z.reshape(-1, d)).reshape(z.shape[:3])
-            out[so:so + sb, lo:lo + xb] = fv @ wu
+            for uo in range(0, U.shape[0], ub):
+                z = r[so:so + sb] * x + sig[so:so + sb] * U[uo:uo + ub]
+                part = eval_batch(f, z.reshape(-1, d)).reshape(z.shape[:3]) @ wu[uo:uo + ub]
+                acc = part if uo == 0 else acc + part
+            out[so:so + sb, lo:lo + xb] = acc
     return out / math.pi ** (d / 2.0)
+
+
+def _gauss_hermite_s_far(pts: np.ndarray, u: np.ndarray) -> float:
+    """The s past which ``_mehler_gauss_hermite``'s rule points
+    e^{-s} x + sqrt(1 - e^{-2s}) U at these points round to U, as at s = inf,
+    for the tensor rule of the 1-d nodes ``u``: sigma rounds to 1 past s = 19
+    (e^{-38} < 2^{-54}), and |e^{-s} x| stays below an eighth of the float
+    spacing at the smallest |u|, within half a spacing of every coordinate."""
+    tiny = np.spacing(np.min(np.abs(u))) / 8.0
+    return max(19.0, math.log(max(float(np.max(np.abs(pts))), tiny) / tiny))
 
 
 # ----------------------------------------------------------------------------
 # Subordination: s-integrals against d^k/dt^k g(t, s)
 # ----------------------------------------------------------------------------
 
-def _subordinate(t: float, k: int, semigroup, tol: float) -> np.ndarray:
+def _subordinate(t: float, k: int, semigroup, tol: float, s_far: float = math.inf) -> np.ndarray:
     """∫ d^k/dt^k g(t, s) T_s ds for ``semigroup``: s (S,) -> T_s values
     (S, ...), which must also take s = inf.
 
     Integrates d^k g (T_s - T_inf) in u = log s and adds T_inf back for
-    k = 0: the integrand decays like e^{-s} and reads 0 past s ~ 40.
-    ``semigroup`` runs only at the s-nodes where d^k g does not underflow
-    to 0, since the term is 0 at the others.
+    k = 0: the integrand decays like e^{-s}.  The one place that decides
+    where the semigroup runs: its term is exactly 0 where d^k g underflows
+    to 0, and at s >= ``s_far``, past which the caller's float64 T_s is
+    T_inf bit for bit, so ``semigroup`` runs at neither.
     """
     limit = semigroup(np.array([np.inf]))[0]
 
@@ -290,13 +308,15 @@ def _subordinate(t: float, k: int, semigroup, tol: float) -> np.ndarray:
         # eval_batch's per-node retry passes scalar nodes
         sv = np.atleast_1d(s)
         g = _stable_weight_factor(t, sv, k)
-        live = g != 0.0
+        live = (g != 0.0) & (sv < s_far)
+        terms = semigroup(sv[live]) if live.any() else np.empty((0,) + limit.shape)
+        terms -= limit
+        terms *= g[live].reshape((-1,) + (1,) * limit.ndim)
+        if live.all():
+            return terms.reshape(np.shape(s) + limit.shape)
+        # the other nodes' terms are exactly 0
         v = np.zeros(sv.shape + limit.shape)
-        if live.any():
-            terms = semigroup(sv[live])
-            terms -= limit
-            terms *= g[live].reshape((-1,) + (1,) * limit.ndim)
-            v[live] = terms
+        v[live] = terms
         return v.reshape(np.shape(s) + limit.shape)
 
     vals = np.asarray(integrate_halfline(integrand, tol=tol, rapid=True))
@@ -329,13 +349,16 @@ def _graded_panels(t: float, c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """
     _check_finite_points(c)
     inner = 0.5 * _min_sigma(t)
-    ramp = np.multiply.accumulate(np.r_[inner, np.full(math.ceil(-math.log(inner, 1.5)), 1.5)])
+    ramp = np.full(1 + math.ceil(-math.log(inner, 1.5)), 1.5)
+    ramp[0] = inner
     span = float(np.max(np.maximum(hi - c, c - lo)))
-    widths = np.r_[np.minimum(ramp, 1.0), np.ones(math.ceil(span))]
-    steps = np.broadcast_to(widths, (c.size, widths.size))
-    right = np.minimum(np.cumsum(np.c_[c, steps], axis=1), hi[:, None])
-    left = np.maximum(np.cumsum(np.c_[c, -steps], axis=1), lo[:, None])
-    breaks = np.c_[left[:, :0:-1], right]
+    steps = np.ones((c.size, 1 + ramp.size + math.ceil(span)))
+    steps[:, 0] = c
+    steps[:, 1:1 + ramp.size] = np.minimum(np.multiply.accumulate(ramp), 1.0)
+    right = np.minimum(np.cumsum(steps, axis=1), hi[:, None])
+    steps[:, 1:] *= -1.0
+    left = np.maximum(np.cumsum(steps, axis=1), lo[:, None])
+    breaks = np.concatenate([left[:, :0:-1], right], axis=1)
     # drop each row's leading repeats of lo_i; trailing ones of hi_i pad it
     at_lo = np.count_nonzero(breaks == lo[:, None], axis=1)
     at_hi = np.count_nonzero(breaks == hi[:, None], axis=1)
@@ -373,7 +396,7 @@ def _ph_graded_grids(t: float, pts: np.ndarray, func):
 
 
 def _contraction_operands(t: float, pts: np.ndarray, func):
-    """The graded grids as ``_mehler_contract`` takes them: per axis the
+    """The graded grids as ``_contract`` takes them: per axis the
     offsets y_a - x_a (X, N_a), written over the nodes, and F with every
     axis's weights multiplied in.  The weights are dropped."""
     axes, F = _ph_graded_grids(t, pts, func)
@@ -387,34 +410,15 @@ def _contraction_operands(t: float, pts: np.ndarray, func):
 # Separable Mehler contraction
 # ----------------------------------------------------------------------------
 
-def _mehler_contract(s: np.ndarray, pts: np.ndarray, offsets, WF: np.ndarray) -> np.ndarray:
+def _contract(s: np.ndarray, pts: np.ndarray, offsets, WF: np.ndarray) -> np.ndarray:
     """Sum over a tensor y-grid of M_s(x, y) w(y) F(x; y), shape (S, X).
 
     The d-dimensional Mehler kernel is the product of 1-d kernels, so the sum
     is d successive 1-d contractions of ``WF`` = w F (shape (X, N_1, ...,
     N_d)) with the factors exp(-(c - m)^2 / (1 - r^2)), r = e^{-s}, of the
     offsets c = y_a - x_a (``offsets[a]``, shape (X, N_a)) and m = (r - 1) x_a:
-    O(N d) exponentials per s-node and point instead of O(N^d).
-
-    The sum depends on s only through r - 1 and 1 - r^2.  Past s ~ 37.4 both
-    round to their values at s = inf, -1 and 1, so every such node gets the
-    s = inf column bit for bit, computed once.
-    """
-    # the centre r x with r rounded as ``_mehler_log`` rounds it
-    r_minus_1 = np.exp(-s) - 1.0
-    one_minus_r2 = -np.expm1(-2.0 * s)
-    far = (r_minus_1 == -1.0) & (one_minus_r2 == 1.0)
-    out = np.empty((s.size, pts.shape[0]))
-    if not far.all():
-        out[~far] = _contract(r_minus_1[~far], one_minus_r2[~far], pts, offsets, WF)
-    if far.any():
-        out[far] = _contract(np.array([-1.0]), np.array([1.0]), pts, offsets, WF)
-    return out
-
-
-def _contract(r_minus_1: np.ndarray, one_minus_r2: np.ndarray, pts: np.ndarray,
-              offsets, WF: np.ndarray) -> np.ndarray:
-    """``_mehler_contract`` at the s-nodes of these r - 1 and 1 - r^2.
+    O(N d) exponentials per s-node and point instead of O(N^d).  At s = inf,
+    r - 1 and 1 - r^2 are -1 and 1.
 
     Per block of points and s-nodes and per axis, the exponents are one
     product of (block, sb, 3) coefficients with the (block, 3, N_a) rows
@@ -423,6 +427,9 @@ def _contract(r_minus_1: np.ndarray, one_minus_r2: np.ndarray, pts: np.ndarray,
     count against ``_BLOCK_VALUES`` per point, and per (s-node, point) the
     largest axis's exponents and the partial sum after the first axis.
     """
+    # the centre r x with r rounded as ``_mehler_log`` rounds it
+    r_minus_1 = np.exp(-s) - 1.0
+    one_minus_r2 = -np.expm1(-2.0 * s)
     X, d = pts.shape
     sizes = [c.shape[1] for c in offsets]
     inv = 1.0 / one_minus_r2
@@ -612,7 +619,8 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
                 f, lambda n: _subordination_multiplier(t, tuple(n.tolist()), k, tol))
         nodes = tensor_nodes(default_rule(), d)
         return _pointwise(d, lambda pts: _subordinate(
-            t, k, lambda s: _mehler_gauss_hermite(f, s, pts, nodes), tol))
+            t, k, lambda s: _mehler_gauss_hermite(f, s, pts, nodes), tol,
+            _gauss_hermite_s_far(pts, default_rule().nodes)))
 
     # kernel method
     func, dim = _callable(f, d)
@@ -621,7 +629,7 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
         offsets, WF = _contraction_operands(t, pts, func)
         # Fubini: the y-quadrature runs inside the s-integrand, so the error
         # control acts on the values d^k/dt^k P_t f(x) themselves
-        return _subordinate(t, k, lambda s: _mehler_contract(s, pts, offsets, WF), tol)
+        return _subordinate(t, k, lambda s: _contract(s, pts, offsets, WF), tol, _CONTRACT_S_FAR)
 
     return _pointwise(dim, kernel_values)
 

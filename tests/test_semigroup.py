@@ -618,7 +618,7 @@ class TestMehlerContract:
         axes, F = semigroup._ph_graded_grids(t, pts, func)
         offsets, WF = semigroup._contraction_operands(t, pts, func)
         s = np.array([1e-7, 1e-3, 0.3, 5.0, 40.0, np.inf])
-        got = semigroup._mehler_contract(s, pts, offsets, WF)
+        got = semigroup._contract(s, pts, offsets, WF)
         ld = np.longdouble
         for j, sj in enumerate(s):
             r = ld(np.exp(-sj))
@@ -635,16 +635,22 @@ class TestMehlerContract:
 
     @pytest.mark.parametrize("pts", [[[-9.0], [9.0], [0.3]], [[-9.0, 9.0], [0.3, -1.2]]])
     def test_far_nodes_equal_the_limit(self, pts):
-        # past s ~ 37.4, r - 1 and 1 - r^2 round to -1 and 1, their values at
-        # s = inf, so the contraction there is the s = inf column bit for bit
-        # and T_s - T_inf is exactly 0
+        # the kernel route's s_far: from 54 log 2 ~ 37.43 on, r - 1 and
+        # 1 - r^2 round to -1 and 1, their values at s = inf, so the
+        # contraction there is the s = inf column bit for bit and
+        # T_s - T_inf is exactly 0: ``_subordinate`` skips those nodes.
+        # One node per call, as the limit is made: BLAS may sum a batch of
+        # s-nodes in another order than a single one
         t, pts = 0.05, np.array(pts)
         func = lambda p: np.cos(p[:, 0]) * (1.5 + np.sin(p[:, -1]))
         offsets, WF = semigroup._contraction_operands(t, pts, func)
-        limit = semigroup._mehler_contract(np.array([np.inf]), pts, offsets, WF)
-        got = semigroup._mehler_contract(np.array([0.3, 40.0, 100.0, 1e4]), pts, offsets, WF)
-        assert np.all(got[1:] == limit)
-        assert not np.any(got[0] == limit[0])
+        s_far = semigroup._CONTRACT_S_FAR
+        assert 54.0 * math.log(2.0) < s_far < 38.0
+        limit = semigroup._contract(np.array([np.inf]), pts, offsets, WF)
+        got = [semigroup._contract(np.array([s]), pts, offsets, WF)
+               for s in (0.3, s_far, np.nextafter(s_far, np.inf), 40.0, 100.0, 1e4)]
+        assert all(np.array_equal(v, limit) for v in got[1:])
+        assert not np.any(got[0] == limit)
 
     @pytest.mark.parametrize("call", [
         lambda: ph_apply(lambda p: np.cos(p[:, 0]), SemigroupQuery(0.4, "kernel", 1), d=1)(
@@ -674,7 +680,7 @@ class TestMehlerContract:
     def test_semigroup_runs_only_where_the_weight_is_nonzero(self, monkeypatch):
         # d^k g/dt^k underflows to 0 at small s, where the term is 0 anyway
         seen, dead = [], []
-        contract, weight = semigroup._mehler_contract, semigroup._stable_weight_factor
+        contract, weight = semigroup._contract, semigroup._stable_weight_factor
 
         def counted_contract(s, *args):
             seen.append(s.copy())
@@ -685,7 +691,7 @@ class TestMehlerContract:
             dead.append(np.count_nonzero(g == 0.0))
             return g
 
-        monkeypatch.setattr(semigroup, "_mehler_contract", counted_contract)
+        monkeypatch.setattr(semigroup, "_contract", counted_contract)
         monkeypatch.setattr(semigroup, "_stable_weight_factor", counted_weight)
         for k in (0, 1, 2):
             seen.clear()
@@ -715,6 +721,82 @@ class TestMehlerContract:
 
 _X11 = np.linspace(-2.5, 2.5, 11)[:, None]
 _X2 = np.stack([np.linspace(-2.0, 2.0, 11), np.linspace(2.0, -2.0, 11)], axis=-1)
+_FAR_OUT = np.array([[3200.0], [0.5]])
+
+
+def _gauss_hermite_s_far(pts):
+    """The rule for the subordination route's s_far, written out: sigma =
+    sqrt(1 - e^{-2s}) is 1 past s = 19, and e^{-s} max|x| is below an eighth
+    of the float spacing at the smallest |rule node| past log(8 max|x| /
+    spacing)."""
+    U = quadrature.default_rule().nodes
+    return max(19.0, math.log(8.0 * np.max(np.abs(pts)) / np.spacing(np.min(np.abs(U)))))
+
+
+class TestFarNodes:
+    """Past a route's s_far the float64 T_s is T_inf bit for bit, so the term
+    of T_s - T_inf is exactly 0 and ``_subordinate`` runs no semigroup there."""
+
+    @pytest.mark.parametrize("pts", [np.linspace(-8.4, 8.4, 11)[:, None], _FAR_OUT,
+                                     np.array([[-8.4, 3.0], [0.3, -1.2]])])
+    def test_gauss_hermite_far_nodes_equal_the_limit(self, pts):
+        d = pts.shape[1]
+        nodes = quadrature.tensor_nodes(quadrature.default_rule(), d)
+        func = lambda p: np.cos(p[:, 0]) * (1.5 + np.sin(p[:, -1]))
+        s_far = semigroup._gauss_hermite_s_far(pts, quadrature.default_rule().nodes)
+        assert s_far == _gauss_hermite_s_far(pts)
+        limit = semigroup._mehler_gauss_hermite(func, np.array([np.inf]), pts, nodes)
+        s = np.array([0.3, s_far, np.nextafter(s_far, np.inf), 60.0, 1e4])
+        got = semigroup._mehler_gauss_hermite(func, s, pts, nodes)
+        assert np.all(got[1:] == limit)
+        assert not np.any(got[0] == limit[0])
+
+    def test_gauss_hermite_s_far_moves_with_the_points(self):
+        # at s = 40, past the contraction's s_far, e^{-s} 3200 ~ 1.4e-14 still
+        # moves every rule point off its node, and T_s differs from T_inf
+        # there; e^{-s} 0.5 does not
+        rule = quadrature.default_rule()
+        nodes = quadrature.tensor_nodes(rule, 1)
+        near = semigroup._gauss_hermite_s_far(np.array([[8.4]]), rule.nodes)
+        far = semigroup._gauss_hermite_s_far(_FAR_OUT, rule.nodes)
+        assert near < 43.0 < 48.0 < far
+        got = semigroup._mehler_gauss_hermite(lambda p: np.sin(p[:, 0]),
+                                              np.array([40.0, np.inf]), _FAR_OUT, nodes)
+        assert got[0, 0] != got[1, 0] and got[0, 1] == got[1, 1]
+
+    @pytest.mark.parametrize("method, k, pts, s_far", [
+        ("kernel", 0, _X11, lambda pts: 37.5),
+        ("kernel", 2, _X11, lambda pts: 37.5),
+        ("subordination", 1, np.linspace(-8.4, 8.4, 11)[:, None], _gauss_hermite_s_far),
+        ("subordination", 0, _FAR_OUT, _gauss_hermite_s_far),
+    ], ids=["kernel-k0", "kernel-k2", "subordination-near", "subordination-far-out"])
+    def test_no_semigroup_call_reaches_s_far(self, method, k, pts, s_far, monkeypatch):
+        # every semigroup call that ``_subordinate`` makes, against the
+        # route's s_far worked out here; the half-line rule's first level
+        # reaches s = e^16, so there are far nodes to skip
+        got, nodes = [], []
+        real, weight = semigroup._subordinate, semigroup._stable_weight_factor
+
+        def subordinate(t, k, values, tol, *s_far):
+            def recorded(s):
+                got.append(np.array(s, copy=True))
+                return values(s)
+            return real(t, k, recorded, tol, *s_far)
+
+        def recorded_weight(t, s, k):
+            nodes.append(np.array(s, copy=True))
+            return weight(t, s, k)
+
+        monkeypatch.setattr(semigroup, "_subordinate", subordinate)
+        monkeypatch.setattr(semigroup, "_stable_weight_factor", recorded_weight)
+        vals = ph_apply(lambda p: hermite_eval((1,), p), SemigroupQuery(0.5, method, k),
+                        d=1)(pts)
+        want = ph_symbol(0.5, 1.0, k) * hermite_eval((1,), pts)
+        assert np.all(np.abs(vals - want) <= 1e-7 * np.maximum(1.0, np.abs(want)))
+        far = s_far(pts)
+        s = np.concatenate(got)
+        assert np.max(s[np.isfinite(s)]) < far
+        assert np.max(np.concatenate(nodes)) >= far
 
 
 class TestMemory:
@@ -722,8 +804,10 @@ class TestMemory:
     passes a whole level of s-nodes per call, so the s-integrands block their
     temporaries over s-nodes and points within ``_BLOCK_VALUES``.  Each
     bound is the larger of 4 MiB and the peak when the rule passed at most
-    8 s-nodes per call (in MiB: 0.77, 9.02, 1.13, 13.19, 0.79 and 128.01;
-    now 2.25, 2.28, 2.00, 13.19, 1.33 and 20.08)."""
+    8 s-nodes per call (in MiB: 0.77, 9.02, 1.13, 13.19 and 0.79; now 2.25,
+    2.28, 2.00, 13.19 and 1.33).  The d = 3 Gauss-Hermite point is held to
+    its own peak, 2.60 MiB, since its rule is blocked over its nodes as
+    well (128.01 MiB at 8 s-nodes per call, then 20.08 MiB unblocked)."""
 
     @pytest.mark.parametrize("call, bound", [
         (lambda: ph_apply(lambda p: hermite_eval((2,), p), SemigroupQuery(0.05, "kernel"),
@@ -737,7 +821,7 @@ class TestMemory:
         (lambda: kernel_derivative_l1(0.1, 0.0, 2), 4.0),
         (lambda: ph_apply(lambda p: hermite_eval((1, 0, 1), p),
                           SemigroupQuery(0.5, "subordination"), d=3, tol=1e-6)(
-            np.array([[0.3, -0.2, 0.1]])), 128.1),
+            np.array([[0.3, -0.2, 0.1]])), 2.61),
     ], ids=["ph-kernel-d1", "subordination-d2", "ou-d2", "ph-kernel-d2-point", "kernel-l1",
             "subordination-d3-point"])
     def test_peak(self, call, bound):
