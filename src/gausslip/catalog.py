@@ -23,7 +23,7 @@ from .hermite import check_multi_index, hermite_eval, load_expansion, as_functio
 _GRAMMAR = ("const:<value> | cos:<a> | gauss-bump | smooth-step | "
             "hermite:<i>[,<j>...] | expansion:<path>")
 
-_ERF = np.vectorize(math.erf)
+_ERF = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,7 @@ def binomial_row(k: int) -> list[int]:
     """Row k of Pascal's triangle, exact integers, k <= 64."""
     if k < 0 or k > 64:
         raise ValueError("binomial rows are provided for 0 <= k <= 64")
-    row = [1]
-    for _ in range(k):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
+    return [math.comb(k, j) for j in range(k + 1)]
 
 
 @dataclass(frozen=True)

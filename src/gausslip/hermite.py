@@ -7,6 +7,10 @@ read-only coefficient vector over the multi-indices of total degree <=
 ``degree_cap`` in graded-lex order: multipliers of the chaos level |nu| act
 on it elementwise, and projection and evaluation contract per-axis Hermite
 tables one axis at a time.
+
+``pointwise`` builds every evaluator gausslip returns on one point contract:
+``as_points`` reads and checks the points, ``point_or_batch`` shapes the
+values.
 """
 from __future__ import annotations
 
@@ -54,43 +58,60 @@ def hermite_values_1d(n_max: int, x) -> np.ndarray:
 
 
 def as_points(x, d: int) -> np.ndarray:
-    """Coerce ``x`` to an array of points with coordinates on the last axis."""
+    """``x`` as an array of points with coordinates on the last axis, shape
+    ``(*batch, d)``.
+
+    A single point is a scalar (d = 1) or an array of shape ``(d,)``; for
+    d = 1 that includes ``(1,)``.  Its batch shape is ``()``.  For d = 1
+    any other last axis is a batch of scalars.  A non-finite coordinate
+    raises ``ValueError``.
+    """
     x = np.asarray(x, dtype=float)
-    if d == 1:
-        if x.ndim == 0 or x.shape[-1] != 1:
-            x = x[..., None]
-        return x
-    if x.ndim == 1 and x.shape[0] == d:
-        return x[None, :]
-    if x.ndim == 0 or x.shape[-1] != d:
+    if d == 1 and (x.ndim == 0 or x.shape[-1] != 1):
+        x = x[..., None]
+    elif x.ndim == 0 or x.shape[-1] != d:
         raise ValueError(f"points must have last axis of size d={d}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("points must be finite")
     return x
 
 
-def point_or_batch(x, vals: np.ndarray, d: int):
-    """``vals`` as a float when ``x`` was a single point, else the batch itself.
+def point_or_batch(batch: tuple, vals: np.ndarray):
+    """The (n,) values of the points of batch shape ``batch`` as an evaluator
+    returns them: a float for a single point (``batch == ()``), else an array
+    of shape ``batch``, empty batches included."""
+    return float(vals[0]) if batch == () else np.reshape(vals, batch)
 
-    A single point is a scalar for d = 1 and a length-d vector for d > 1.
-    """
-    if np.ndim(vals) == 0 or np.ndim(x) == 0 or (d > 1 and np.ndim(x) == 1):
-        return float(np.reshape(vals, -1)[0])
-    return vals
+
+def pointwise(d: int, values):
+    """The one point contract: the callable that reads each of its point
+    inputs with ``as_points``, broadcasts them against each other, calls
+    ``values`` once with the (n, d) rows of every input (not at all for
+    n = 0) and shapes its (n,) result by ``point_or_batch``.  Every evaluator
+    gausslip returns is built here, so every route computes on (n, d) arrays
+    only."""
+
+    def apply(*xs):
+        pts = np.broadcast_arrays(*[as_points(x, d) for x in xs])
+        rows = [p.reshape(-1, d) for p in pts]
+        return point_or_batch(pts[0].shape[:-1], values(*rows) if rows[0].size else np.empty(0))
+
+    return apply
 
 
 def hermite_eval(nu, x):
-    """Value of the orthonormal product Hermite polynomial h_nu at x.
-
-    ``x`` may be a scalar (d=1), a length-d point, or an array of points with
-    coordinates on the last axis; returns a float or the batch array.
-    """
+    """Value of the orthonormal product Hermite polynomial h_nu at x, by the
+    point contract of ``pointwise``: a float at a single point, else the
+    array of the batch shape."""
     nu = check_multi_index(nu)
-    d = len(nu)
-    pts = as_points(x, d)
-    val = np.ones(pts.shape[:-1])
-    for axis, n in enumerate(nu):
-        table = hermite_values_1d(n, pts[..., axis])
-        val = val * table[n]
-    return point_or_batch(x, val, d)
+
+    def values(pts):
+        val = np.ones(pts.shape[0])
+        for axis, n in enumerate(nu):
+            val = val * hermite_values_1d(n, pts[:, axis])[n]
+        return val
+
+    return pointwise(len(nu), values)(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,13 +216,13 @@ def eval_coefficients(vectors, d: int, n_max: int, x) -> np.ndarray:
 
 def eval_expansion(e: HermiteExpansion, x):
     """Partial-sum value sum_{|nu|<=N} fhat(nu) h_nu(x); linear in coefficients."""
-    vals = eval_coefficients(e.vector[None], e.dimension, e.degree_cap, x)[0]
-    return point_or_batch(x, vals, e.dimension)
+    return as_function(e)(x)
 
 
 def as_function(e: HermiteExpansion):
-    """Wrap an expansion as a vectorized callable on point batches."""
-    return lambda x: eval_expansion(e, x)
+    """The expansion as a callable on points (``pointwise``)."""
+    return pointwise(e.dimension,
+                     lambda pts: eval_coefficients(e.vector[None], e.dimension, e.degree_cap, pts)[0])
 
 
 def remove_mean(e: HermiteExpansion) -> HermiteExpansion:

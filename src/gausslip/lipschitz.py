@@ -30,10 +30,10 @@ from .fractional import FractionalSpec, apply_fractional, smallest_integer_above
 from . import hermite
 from .hermite import HermiteExpansion, project, remove_mean
 from .quadrature import default_rule, eval_batch
-# the probes call ph_symbol only; ph_apply stays as the name copy the benchmark's
-# tracer wraps (perfbench/tests/test_benchmark.py::
+# the probes call _check_integer_order and ph_symbol only; ph_apply stays as the
+# name copy the benchmark's tracer wraps (perfbench/tests/test_benchmark.py::
 # test_no_gausslip_name_still_points_at_an_unwrapped_function)
-from .semigroup import ph_apply, ph_symbol  # noqa: F401
+from .semigroup import _check_integer_order, ph_apply, ph_symbol  # noqa: F401
 
 DEFAULT_T_GRID = tuple(np.geomspace(0.0125, 4.0, 16))
 
@@ -195,8 +195,7 @@ def _check_order(alpha: float, n: int | None) -> int:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if n is None:
         n = smallest_integer_above(alpha)
-    if not float(n).is_integer():
-        raise ValueError(f"derivative order {n} must be an integer")
+    _check_integer_order(n)
     if n <= alpha:
         raise ValueError(f"derivative order {n} must exceed alpha={alpha}")
     return n

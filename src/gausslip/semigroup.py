@@ -60,8 +60,12 @@ The half-line rule passes every new s-node of a step in one call; the
 s-integrands block their temporaries over s-nodes and points within one
 budget, ``_BLOCK_VALUES``.
 
-Pointwise callables follow the batch contract of ``quadrature.eval_batch``:
-point batches of shape (n, d) in, shape (n,) out.
+Callables passed in follow the batch contract of ``quadrature.eval_batch``:
+point batches of shape (n, d) in, shape (n,) out.  Every evaluator this
+module returns, the ``ou_apply`` / ``ph_apply`` operators and the pointwise
+kernels, keeps the point contract of ``hermite.pointwise``: a float for a
+single point, an array of the batch shape otherwise, and ``ValueError`` for
+a non-finite coordinate; the routes compute on (n, d) arrays only.
 """
 from __future__ import annotations
 
@@ -72,7 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import HermiteExpansion, as_function, as_points, point_or_batch, scale_by_level
+from .hermite import HermiteExpansion, as_function, as_points, pointwise, scale_by_level
 from .quadrature import (
     default_rule,
     eval_batch,
@@ -172,21 +176,18 @@ def _floored_exp(q: np.ndarray) -> np.ndarray:
 def mehler_kernel(t: float, x, y, d: int = 1):
     """Ornstein-Uhlenbeck transition kernel against Lebesgue dy.
 
-    ``x`` and ``y`` broadcast as point batches; returns the batch of kernel
-    values (float for a single pair).
+    ``x`` and ``y`` broadcast as point batches (``pointwise``): a float for
+    a single pair, else the array of the broadcast batch shape.
     """
     _check_time(t)
-    out = np.exp(_mehler_log(t, as_points(x, d), as_points(y, d), d))
-    if out.shape == ():
-        return float(out)
-    return out
+    return pointwise(d, lambda X, Y: np.exp(_mehler_log(t, X, Y, d)))(x, y)
 
 
 def stable_density(t: float, s):
     """Density g(t, s) of the one-sided stable measure of order 1/2, t > 0."""
     _check_time(t)
     arr = np.asarray(s, dtype=float)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise ValueError("the stable density lives on s > 0")
     out = _stable_weight_factor(t, arr, 0)
     if out.shape == ():
@@ -332,11 +333,6 @@ def _min_sigma(t: float) -> float:
     return math.sqrt(0.5 * -math.expm1(-2.0 * s_min))
 
 
-def _check_finite_points(pts: np.ndarray) -> None:
-    if not np.isfinite(pts).all():
-        raise ValueError("kernel-route points must be finite")
-
-
 def _graded_panels(t: float, c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Gauss-Legendre nodes and weights (X, N) on [lo_i, hi_i], graded toward
     c_i, one row per point on one axis.
@@ -347,7 +343,6 @@ def _graded_panels(t: float, c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     hi_i.  Each row's panels come first; shorter rows end in zero-width
     panels at hi_i.
     """
-    _check_finite_points(c)
     inner = 0.5 * _min_sigma(t)
     ramp = np.full(1 + math.ceil(-math.log(inner, 1.5)), 1.5)
     ramp[0] = inner
@@ -473,19 +468,6 @@ def _callable(f, d: int):
     return f, d
 
 
-def _pointwise(d: int, values):
-    """The batch-contract callable whose values at a nonempty (n, d) point
-    array ``pts`` are ``values(pts)``, shape (n,)."""
-
-    def apply(x):
-        pts = as_points(x, d).reshape(-1, d)
-        if pts.shape[0] == 0:
-            return np.empty(0)
-        return point_or_batch(x, values(pts), d)
-
-    return apply
-
-
 # ----------------------------------------------------------------------------
 # Ornstein-Uhlenbeck semigroup
 # ----------------------------------------------------------------------------
@@ -506,7 +488,7 @@ def ou_apply(f, q: SemigroupQuery, *, d: int = 1):
     func, dim = _callable(f, d)
     s = np.array([q.t])
     nodes = tensor_nodes(default_rule(), dim)
-    return _pointwise(dim, lambda pts: _mehler_gauss_hermite(func, s, pts, nodes)[0])
+    return pointwise(dim, lambda pts: _mehler_gauss_hermite(func, s, pts, nodes)[0])
 
 
 # ----------------------------------------------------------------------------
@@ -537,17 +519,7 @@ def _ph_kernel_values(t: float, x, y, d: int, k: int, tol: float):
     """d^k/dt^k p(t, x, y) on broadcast point batches (k = 0: the kernel)."""
     _check_time(t)
     _check_kernel_order(k)
-    X = as_points(x, d)
-    Y = as_points(y, d)
-    batch = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])
-    X = np.broadcast_to(X, batch + (d,)).reshape(-1, d)
-    Y = np.broadcast_to(Y, batch + (d,)).reshape(-1, d)
-    _check_finite_points(X)
-    _check_finite_points(Y)
-    out = _ph_kernel_payload(t, X, Y, d, k, tol) if X.size else np.empty(0)
-    if np.ndim(x) <= 1 and np.ndim(y) <= 1 and batch in ((), (1,)):
-        return float(out[0])
-    return out.reshape(batch)
+    return pointwise(d, lambda X, Y: _ph_kernel_payload(t, X, Y, d, k, tol))(x, y)
 
 
 def ph_kernel(t: float, x, y, tol: float = 1e-9, d: int = 1):
@@ -618,7 +590,7 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
             return scale_by_level(
                 f, lambda n: _subordination_multiplier(t, tuple(n.tolist()), k, tol))
         nodes = tensor_nodes(default_rule(), d)
-        return _pointwise(d, lambda pts: _subordinate(
+        return pointwise(d, lambda pts: _subordinate(
             t, k, lambda s: _mehler_gauss_hermite(f, s, pts, nodes), tol,
             _gauss_hermite_s_far(pts, default_rule().nodes)))
 
@@ -631,7 +603,7 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
         # control acts on the values d^k/dt^k P_t f(x) themselves
         return _subordinate(t, k, lambda s: _contract(s, pts, offsets, WF), tol, _CONTRACT_S_FAR)
 
-    return _pointwise(dim, kernel_values)
+    return pointwise(dim, kernel_values)
 
 
 def _weight_mass_constant(k: int) -> float:
@@ -674,7 +646,7 @@ def kernel_derivative_l1(t: float, x: float, k: int, tol: float = 1e-8) -> Kerne
     total |.|-mass of the k-th derivative of the subordination weight.
     """
     mass = derivative_weight_mass(t, k)  # checks t and k
-    x = float(x)
+    x = as_points(x, 1).item()
     R = _Y_MARGIN + 2.0 * abs(x)
     (y,), (wy,) = _graded_panels(t, np.array([x]), np.array([-R]), np.array([R]))
     vals = _ph_kernel_payload(t, np.full((y.size, 1), x), y[:, None], 1, k, tol)

@@ -50,6 +50,11 @@ class TestCatalog:
         assert step(np.array([[0.0]]))[0] == pytest.approx(0.5)
         assert step(np.array([[5.0]]))[0] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("name", [*DEFAULT_SUITE, "hermite:2"])
+    def test_empty_batch(self, name):
+        _, f = catalog_function(name)
+        assert f(np.empty((0, 1))).shape == (0,)
+
     def test_expansion_entry_round_trips(self, tmp_path):
         e = HermiteExpansion(1, 3, {(0,): 0.5, (3,): -1.25})
         path = tmp_path / "exp.json"

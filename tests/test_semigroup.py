@@ -175,6 +175,14 @@ class TestStableDensity:
         with pytest.raises(ValueError):
             stable_density(0.0, 1.0)
 
+    @pytest.mark.parametrize("s", [math.nan, -math.inf, [0.5, math.nan]])
+    def test_rejects_every_s_not_above_zero(self, s):
+        with pytest.raises(ValueError, match="s > 0"):
+            stable_density(1.0, s)
+
+    def test_vanishes_at_infinity(self):
+        assert stable_density(1.0, math.inf) == 0.0
+
 
 def _mpmath_density(mpmath, t, s):
     """g(t, s) = t e^{-t^2/4s} s^{-3/2} / (2 sqrt(pi)) at the working precision."""
