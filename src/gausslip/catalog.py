@@ -1,14 +1,16 @@
 """Named test functions with known structure.
 
 Grammar:
-    const:<value>        constant function                      (any d, default 1)
+    const:<value>        constant function                      (d = 1, bounded)
     cos:<a>              cos(a * x_1)                           (d = 1, bounded)
     gauss-bump           exp(-|x|^2)                            (d = 1, bounded)
     smooth-step          (1 + erf(x_1)) / 2                     (d = 1, bounded)
     hermite:<i>[,<j>..]  orthonormal Hermite polynomial h_nu    (d = len, unbounded)
     expansion:<path>     truncated expansion from a JSON file   (d from file)
 
-Every callable takes point batches of shape (n, d) and returns shape (n,).
+Every callable keeps the point contract of ``hermite.pointwise``: a point
+batch of shape (n, d) gives shape (n,), a single point a float, and a
+non-finite coordinate raises ``ValueError``.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CatalogError
-from .hermite import check_multi_index, hermite_eval, load_expansion, as_function
+from .hermite import as_function, check_multi_index, hermite_eval, load_expansion, pointwise
 
 _GRAMMAR = ("const:<value> | cos:<a> | gauss-bump | smooth-step | "
             "hermite:<i>[,<j>...] | expansion:<path>")
@@ -45,20 +47,20 @@ def catalog_function(name: str):
         except ValueError:
             raise CatalogError(f"bad constant {arg!r} in {name!r}; grammar: {_GRAMMAR}")
         entry = CatalogEntry(name=name, dimension=1, bounded=True)
-        return entry, lambda x: np.full(np.asarray(x).shape[0], c, dtype=float)
+        return entry, pointwise(1, lambda x: np.full(x.shape[0], c))
     if head == "cos":
         try:
             a = float(arg)
         except ValueError:
             raise CatalogError(f"bad frequency {arg!r} in {name!r}; grammar: {_GRAMMAR}")
         entry = CatalogEntry(name=name, dimension=1, bounded=True)
-        return entry, lambda x: np.cos(a * np.asarray(x, dtype=float)[..., 0])
+        return entry, pointwise(1, lambda x: np.cos(a * x[:, 0]))
     if name == "gauss-bump":
         entry = CatalogEntry(name=name, dimension=1, bounded=True)
-        return entry, lambda x: np.exp(-np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+        return entry, pointwise(1, lambda x: np.exp(-x[:, 0] ** 2))
     if name == "smooth-step":
         entry = CatalogEntry(name=name, dimension=1, bounded=True)
-        return entry, lambda x: 0.5 * (1.0 + _ERF(np.asarray(x, dtype=float)[..., 0]))
+        return entry, pointwise(1, lambda x: 0.5 * (1.0 + _ERF(x[:, 0])))
     if head == "hermite":
         try:
             nu = check_multi_index(tuple(int(v) for v in arg.split(",")))

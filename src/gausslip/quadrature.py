@@ -55,6 +55,10 @@ _DE_HALVINGS = 8
 
 # Two levels that agree to this multiple of eps times the sum have reached
 # float64 rounding; a change this small against the absolute mass is noise.
+# The geometric acceptance test also needs this much of the absolute mass to
+# stay below tol: rounding noise can shrink from level to level as well, and
+# its "tail" would then pass for convergence where cancellation keeps tol out
+# of reach.
 _ROUNDING = 64.0 * np.finfo(float).eps
 
 
@@ -232,11 +236,24 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
     side per step, until the two outermost terms on each side are
     negligible, below 1e-2 tol / h in tau and 1e-6 tol / h in log s (at the
     cap, the outermost alone); each side ends one node past its outermost
-    term above that.  The step then halves,
-    each level adding the midpoints of the last, until two levels after the
-    first halving agree to max(tol, 64 eps |S|).  ``g`` follows the batch
-    contract of ``eval_batch`` and may return a payload of shape (n, ...);
-    the error metric is then the max over payload components.  It gets every
+    term above that.  The step then halves, each level adding the midpoints
+    of the last.  From the second halving on, with D_L = |S_L - S_{L-1}| per
+    payload component, the level's sum S_L is returned once every component
+    passes one of two tests:
+
+    * the levels agree, D_L <= max(tol, 64 eps max|S_L|); or
+    * they contract geometrically: rho = D_L / D_{L-1} <= 1/2, the tail
+      D_L rho / (1 - rho) of the corrections still to come is <= tol, and so
+      is the float64 rounding 64 eps h sum |terms| of the component's
+      absolute mass.  The trapezoid rule converges geometrically on
+      integrands analytic in a strip, which saves the last halving on most
+      integrals; the mass guard keeps rounding noise, which may contract
+      too, from passing for convergence.
+
+    The first halving is never accepted.  ``g`` follows the batch
+    contract of ``eval_batch`` and may return a payload of shape (n, ...),
+    whose components take the tests above one by one; the stall check below
+    takes the max over them.  It gets every
     new node of a step in one call: the first level, each step of the walk
     and each halving level, so an integrand whose payload is large bounds
     its own temporaries.
@@ -298,6 +315,7 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
     kept = [terms[j] for j in range(-ends[-1], ends[1] + 1)]
     total = h * sum(kept)
     mass = h * sum(np.abs(v) for v in kept)
+    diff = None
     for level in range(1, _DE_HALVINGS + 1):
         h *= 0.5
         # the new nodes: odd multiples of h inside the first level's range
@@ -305,12 +323,18 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
                               rapid)
         prev, total = total, 0.5 * total + h * new.sum(axis=0)
         mass = 0.5 * mass + h * np.abs(new).sum(axis=0)
+        last, diff = diff, np.abs(total - prev)
         if level == 1:
             # a feature narrower than the first step meets one node there,
             # and the sums at the first two steps can then agree by chance
             continue
-        change = _max_abs(total - prev)
-        if change <= max(tol, _ROUNDING * _max_abs(total)):
+        change = _max_abs(diff)
+        # each component passes if the levels agree, or if its corrections
+        # at least halve and their geometric tail D^2 / (D_last - D) meets
+        # tol, with the rounding of its absolute mass below tol too
+        geometric = ((2.0 * diff <= last) & (diff * diff <= tol * (last - diff))
+                     & (_ROUNDING * mass <= tol))
+        if np.all((diff <= max(tol, _ROUNDING * _max_abs(total))) | geometric):
             return _maybe_scalar(total)
         if change <= _ROUNDING * _max_abs(mass):
             raise ConvergenceError(

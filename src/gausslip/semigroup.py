@@ -114,7 +114,7 @@ _EXP_FLOOR = -690.0
 # level, only the (S, ...) payload itself
 _BLOCK_VALUES = 2 ** 17
 
-# ``_contract``'s s_far: e^{-s} - 1 and 1 - e^{-2s} round to -1 and 1 from 54 log 2 ~ 37.43 on
+# ``_contract``'s s_far: expm1(-s) and 1 - e^{-2s} round to -1 and 1 from 54 log 2 ~ 37.43 on
 _CONTRACT_S_FAR = 37.5
 
 
@@ -152,13 +152,15 @@ def _mehler_log(s, x, y, d: int):
 
     ``x`` and ``y`` carry coordinates on the last axis; ``s`` broadcasts
     against the batch axes.  Evaluated in log form so that small 1-r^2 cannot
-    overflow the prefactor.
+    overflow the prefactor, and with y - e^{-s} x as (y - x) - expm1(-s) x:
+    rounding e^{-s} first would move the centre by up to |x| eps, which the
+    narrow width sqrt(1 - r^2) at small s turns into ~4e-12 relative per
+    kernel value at s = 1e-7, x = 9.
     """
     s = np.asarray(s, dtype=float)
-    r = np.exp(-s)
     one_minus_r2 = -np.expm1(-2.0 * s)
+    q = (y - x) - np.expm1(-s)[..., None] * x
     # in place: the pointwise kernels call this on (S, P) arrays
-    q = y - r[..., None] * x
     q *= q
     q = q[..., 0] if d == 1 else np.sum(q, axis=-1)
     q /= one_minus_r2
@@ -411,7 +413,8 @@ def _contract(s: np.ndarray, pts: np.ndarray, offsets, WF: np.ndarray) -> np.nda
     The d-dimensional Mehler kernel is the product of 1-d kernels, so the sum
     is d successive 1-d contractions of ``WF`` = w F (shape (X, N_1, ...,
     N_d)) with the factors exp(-(c - m)^2 / (1 - r^2)), r = e^{-s}, of the
-    offsets c = y_a - x_a (``offsets[a]``, shape (X, N_a)) and m = (r - 1) x_a:
+    offsets c = y_a - x_a (``offsets[a]``, shape (X, N_a)) and m = (r - 1) x_a,
+    with r - 1 as expm1(-s), exact to rounding where r rounds to 1:
     O(N d) exponentials per s-node and point instead of O(N^d).  At s = inf,
     r - 1 and 1 - r^2 are -1 and 1.
 
@@ -422,8 +425,7 @@ def _contract(s: np.ndarray, pts: np.ndarray, offsets, WF: np.ndarray) -> np.nda
     count against ``_BLOCK_VALUES`` per point, and per (s-node, point) the
     largest axis's exponents and the partial sum after the first axis.
     """
-    # the centre r x with r rounded as ``_mehler_log`` rounds it
-    r_minus_1 = np.exp(-s) - 1.0
+    r_minus_1 = np.expm1(-s)
     one_minus_r2 = -np.expm1(-2.0 * s)
     X, d = pts.shape
     sizes = [c.shape[1] for c in offsets]

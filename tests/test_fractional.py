@@ -272,6 +272,27 @@ class TestInput:
             apply_fractional(lambda p: np.cos(p[:, 0]), FractionalSpec("bessel_potential", 1.0))
 
 
+# just below an integer the integrand behaves like a^k s^{k-beta-1} as
+# s -> 0, which is still not negligible where the half-line rule stops
+NEAR_INTEGER = [0.95, 0.99, 1.95, 1.99, 2.95]
+
+
+@pytest.mark.parametrize("beta", NEAR_INTEGER)
+def test_c_beta_just_below_an_integer(beta):
+    k = smallest_integer_above(beta)
+    assert c_beta_constant(beta, k) == pytest.approx(c_beta_closed_form(beta, k), rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["riesz_derivative", "bessel_derivative"])
+@pytest.mark.parametrize("beta", NEAR_INTEGER)
+def test_integral_derivatives_just_below_an_integer(kind, beta):
+    levels = (0, 1, 2, 5, 17, 40)
+    got = fractional._integral_eigenvalue(kind, beta, smallest_integer_above(beta), levels,
+                                          FractionalSpec.tol)
+    want = [eigenvalue_oracle(kind, beta, n, "integral") for n in levels]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
 def _every_level(n_max=40):
     return HermiteExpansion(1, n_max, {(n,): 1.0 for n in range(n_max + 1)})
 

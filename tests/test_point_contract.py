@@ -6,13 +6,14 @@ Points enter through ``hermite.as_points`` and values leave through
 gives an array of its batch shape, empty batches included; a non-finite
 coordinate raises ``ValueError`` naming "finite" before any user callable
 runs.  The pair evaluators apply the rule to the broadcast batch of their
-two inputs.
+two inputs, and the closed-form catalog functions keep it in d = 1.
 """
 import math
 
 import numpy as np
 import pytest
 
+from gausslip.catalog import catalog_function
 from gausslip.hermite import HermiteExpansion, as_function, eval_expansion, hermite_eval
 from gausslip.semigroup import (
     SemigroupQuery,
@@ -51,6 +52,10 @@ PAIRS = {
     "ph_kernel_time_derivative": lambda d: lambda x, y: ph_kernel_time_derivative(
         T, x, y, 1, d=d),
 }
+
+
+# the closed-form catalog entries, all d = 1
+CATALOG = ("const:2", "cos:1", "gauss-bump", "smooth-step")
 
 
 def _layouts(d: int) -> list:
@@ -140,3 +145,24 @@ def test_pair_rejects_non_finite_points(name, d, bad):
         ev(worse, good)
     with pytest.raises(ValueError, match="finite"):
         ev(good, worse)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_layouts(name):
+    f = catalog_function(name)[1]
+    for x, batch in _layouts(1) + [([0.3], None)]:
+        got = f(x)
+        _check_shape(got, batch)
+        if batch is None:
+            assert got == f(np.reshape(x, (1, 1)))[0]
+        if batch == (2, 3):
+            assert np.array_equal(got, f(np.reshape(x, (-1, 1))).reshape(batch))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_rejects_non_finite_points(name, bad):
+    f = catalog_function(name)[1]
+    for x in (bad, [bad], [[0.0], [bad]], [[[bad]]]):
+        with pytest.raises(ValueError, match="finite"):
+            f(x)

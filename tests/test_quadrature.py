@@ -209,6 +209,23 @@ class TestHalfline:
                                        atol=1e-12)
             assert tau.size == levels[0].size * 2 ** (level - 1)
 
+    def test_geometric_tail_accepts_the_second_halving(self):
+        # ∫ e^{-s - 1/4s} ds = K_1(1) in log s: each halving cuts the
+        # correction by far more than half, so the tail of the corrections
+        # meets tol at the second halving, one level before two levels agree
+        calls = []
+
+        def g(s):
+            calls.append(s.size)
+            return np.exp(-s - 0.25 / s)
+
+        for tol in (1e-8, 1e-10, 1e-12):
+            calls.clear()
+            got = integrate_halfline(g, tol, rapid=True)
+            assert abs(got - 0.6019072301972346) <= tol
+            # the first level and two halvings; the walk adds no node
+            assert len(calls) == 3
+
     def test_cancellation_below_rounding_raises(self):
         # ∫ c (e^{-s} - 2 e^{-2s}) ds = 0, but the terms carry mass ~c, whose
         # float64 rounding is far above tol

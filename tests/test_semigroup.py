@@ -460,6 +460,17 @@ class TestPHApply:
         else:
             assert np.max(np.abs(got - want)) <= 1e-6
 
+    @pytest.mark.xfail(strict=True, reason="the graded y-grid's error, amplified like "
+                       "t^-k, is smooth in s and passes the s-rule's checks unflagged")
+    def test_kernel_third_derivative_of_a_constant_at_small_time(self):
+        # d^3/dt^3 P_t 1 = 0, and T_s 1 - T_inf 1 = 0 at every s, so every
+        # error is the y-quadrature's: 4.75e-4 at t = 1e-3, 4750 tol
+        tol = 1e-7
+        op = ph_apply(lambda p: hermite_eval((0,), p), SemigroupQuery(1e-3, "kernel", 3),
+                      d=1, tol=tol)
+        got = op(np.linspace(-2.5, 2.5, 11)[:, None])
+        assert np.max(np.abs(got)) <= tol
+
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("nu", [(1, 1), (2, 1)])  # (2, 1) tells the axes apart
     def test_kernel_two_dims_batch(self, nu, k):
@@ -618,8 +629,9 @@ class TestMehlerContract:
     @pytest.mark.parametrize("pts", [[[-9.0], [9.0], [0.3]], [[-9.0, 9.0], [0.3, -1.2]]])
     def test_matches_a_dense_sum(self, pts):
         # the separable, floored contraction against the sum over every node of
-        # each point's tensor grid of kernel x weights x F, in long double;
-        # both take r = e^{-s} rounded to float64
+        # each point's tensor grid of kernel x weights x F, in long double
+        # with r = e^{-s} in long double: the contraction forms its centres
+        # from expm1(-s), exact to rounding
         t, pts = 0.05, np.array(pts)
         d = pts.shape[1]
         func = lambda p: np.cos(p[:, 0]) * (1.5 + np.sin(p[:, -1]))
@@ -629,7 +641,7 @@ class TestMehlerContract:
         got = semigroup._contract(s, pts, offsets, WF)
         ld = np.longdouble
         for j, sj in enumerate(s):
-            r = ld(np.exp(-sj))
+            r = np.exp(-ld(sj))
             one_minus_r2 = -np.expm1(ld(-2.0) * ld(sj))
             for i, x in enumerate(pts):
                 terms = F[i].astype(ld)
