@@ -266,8 +266,9 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
     differ only by the float64 rounding of the absolute mass h sum |terms|,
     which cancellation leaves out of reach of tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    # ``not tol > 0`` also rejects nan, which no level could ever meet
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if rapid:
         h, u_first, u_cap, quiet = _LOG_STEP, _LOG_U_FIRST, _LOG_U_CAP, _LOG_QUIET
     else:

@@ -43,18 +43,22 @@ exp-sinh map would narrow at small t and high chaos levels.
 The kernel route applies P_t (and its t-derivatives) as one
 s-integral per call whose payload is the batch of values at the x-points:
 by Fubini the y-quadrature runs inside the s-integrand, so the error control
-acts on d^k/dt^k P_t f(x) itself.  The batch's graded y-grids are built
+acts on d^k/dt^k P_t f(x) itself.  It integrates f(y) - f(x) against the
+kernel and adds f(x) back for k = 0: M_s(x, .) has unit mass, so the
+integrand vanishes at the kernel's short-time spike and a constant comes
+back exactly.  The batch's y-grids, graded toward the points, are built
 together, one array per axis with a row per point whose end carries zero
-weights; f is evaluated once per call, at the nodes of nonzero weight only,
-and the weights are multiplied into those values once; only F and the
-offsets y - x stay.  At each s-node the Mehler kernel, a product of 1-d
-kernels, is applied to F one axis at a time: per point its exponents are
-one small matrix product, raised to ``_EXP_FLOOR``, and its normaliser
-multiplies the sums.  The pointwise kernels ``ph_kernel`` /
-``ph_kernel_time_derivative`` run one s-integral per call whose payload is
-every (x, y) pair of the broadcast batches, with the same exponent floor;
-the L^1 routine passes its one x through the same payload, since it needs
-|p| pointwise in y.
+weights; f is evaluated once per call, at the nodes of nonzero weight and
+then at the points, and the weights are multiplied into F = f(y) - f(x)
+once; only F and the offsets y - x stay.  At each s-node the Mehler
+kernel, a product of 1-d kernels, is applied to F one axis at a time: per
+point its exponents are one small matrix product, raised to
+``_EXP_FLOOR``, and its normaliser multiplies the sums.  The pointwise
+kernels ``ph_kernel`` / ``ph_kernel_time_derivative`` run one s-integral
+per call whose payload is every (x, y) pair of the broadcast batches, with
+the same exponent floor; the L^1 routine passes its one x through the same
+payload, since it needs |p| pointwise in y, on finer panels
+(``_L1_GRADING``): |p| has kinks at its sign changes near x.
 
 The half-line rule passes every new s-node of a step in one call; the
 s-integrands block their temporaries over s-nodes and points within one
@@ -335,18 +339,38 @@ def _min_sigma(t: float) -> float:
     return math.sqrt(0.5 * -math.expm1(-2.0 * s_min))
 
 
-def _graded_panels(t: float, c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+class _Grading(NamedTuple):
+    """Widths of graded y-panels: the innermost in spike widths at the
+    smallest contributing s (``_min_sigma``), and the factor each next one
+    grows by, up to width 1."""
+
+    inner: float
+    growth: float
+
+
+# The kernel route contracts M_s(x, y) (f(y) - f(x)), which vanishes at the
+# spike's centre y = x, so its panels may start one spike width wide and
+# double.  ``kernel_derivative_l1`` integrates |d^k p(t, x, y)| itself, with
+# kinks at its sign changes near x, and keeps the finer grading.  Both stop
+# at width 1, which f needs away from x: width 2 took the route on tanh(5x)
+# at tol 1e-10 from 1.5e-8 to 2.2e-5 off at points far from its step
+_APPLY_GRADING = _Grading(1.0, 2.0)
+_L1_GRADING = _Grading(0.5, 1.5)
+
+
+def _graded_panels(t: float, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   grading: _Grading):
     """Gauss-Legendre nodes and weights (X, N) on [lo_i, hi_i], graded toward
     c_i, one row per point on one axis.
 
-    Panel widths start at half the spike width at the smallest contributing
-    s, grow by 1.5 up to 1 away from c_i and are the same in every row: the
-    breakpoints are c_i plus or minus their running sums, clipped at lo_i and
-    hi_i.  Each row's panels come first; shorter rows end in zero-width
-    panels at hi_i.
+    Panel widths start at ``grading.inner`` spike widths at the smallest
+    contributing s, grow by ``grading.growth`` up to 1 away from c_i and are
+    the same in every row: the breakpoints are c_i plus or minus their
+    running sums, clipped at lo_i and hi_i.  Each row's panels come first;
+    shorter rows end in zero-width panels at hi_i.
     """
-    inner = 0.5 * _min_sigma(t)
-    ramp = np.full(1 + math.ceil(-math.log(inner, 1.5)), 1.5)
+    inner = grading.inner * _min_sigma(t)
+    ramp = np.full(1 + math.ceil(-math.log(inner, grading.growth)), grading.growth)
     ramp[0] = inner
     span = float(np.max(np.maximum(hi - c, c - lo)))
     steps = np.ones((c.size, 1 + ramp.size + math.ceil(span)))
@@ -370,37 +394,42 @@ def _along(v: np.ndarray, a: int, d: int) -> np.ndarray:
 
 
 def _ph_graded_grids(t: float, pts: np.ndarray, func):
-    """Per-point graded y-grids and ``func`` on them.
+    """Per-point graded y-grids, ``func`` on them and ``func`` at the points.
 
-    Point i gets the tensor grid of its per-axis panels graded toward x_i,
-    on [-hypot(min(x_ia, 0), 8), hypot(max(x_ia, 0), 8)] (``_Y_MARGIN``);
-    each axis is one (X, N_a) array whose rows end in zero weights.  ``func``
-    is evaluated once, on the nodes of nonzero weight, point by point in
-    row-major order; F is 0 elsewhere.
+    Point i gets the tensor grid of its per-axis panels graded toward x_i
+    (``_APPLY_GRADING``), on [-hypot(min(x_ia, 0), 8), hypot(max(x_ia, 0), 8)]
+    (``_Y_MARGIN``); each axis is one (X, N_a) array whose rows end in zero
+    weights.  ``func`` is evaluated once, on the nodes of nonzero weight,
+    point by point in row-major order, and then at the points themselves;
+    F is 0 elsewhere.
     """
     X, d = pts.shape
     axes = [_graded_panels(t, c, -np.hypot(np.minimum(c, 0.0), _Y_MARGIN),
-                           np.hypot(np.maximum(c, 0.0), _Y_MARGIN))
+                           np.hypot(np.maximum(c, 0.0), _Y_MARGIN), _APPLY_GRADING)
             for c in pts.T]
     shape = (X,) + tuple(y.shape[1] for y, _ in axes)
     used = np.ones(shape, dtype=bool)
     for a, (_, w) in enumerate(axes):
         used &= _along(w, a, d) > 0
+    nodes = np.stack([np.broadcast_to(_along(y, a, d), shape)[used]
+                      for a, (y, _) in enumerate(axes)], axis=-1)
+    vals = eval_batch(func, np.concatenate([nodes, pts]))
     F = np.zeros(shape)
-    F[used] = eval_batch(func, np.stack([np.broadcast_to(_along(y, a, d), shape)[used]
-                                         for a, (y, _) in enumerate(axes)], axis=-1))
-    return axes, F
+    F[used] = vals[:-X]
+    return axes, F, vals[-X:]
 
 
 def _contraction_operands(t: float, pts: np.ndarray, func):
     """The graded grids as ``_contract`` takes them: per axis the
-    offsets y_a - x_a (X, N_a), written over the nodes, and F with every
-    axis's weights multiplied in.  The weights are dropped."""
-    axes, F = _ph_graded_grids(t, pts, func)
+    offsets y_a - x_a (X, N_a), written over the nodes; w (F - f(x)) with
+    every axis's weights w multiplied in; and f at the points.  The weights
+    are dropped."""
+    axes, F, fx = _ph_graded_grids(t, pts, func)
+    F -= fx.reshape((-1,) + (1,) * pts.shape[1])
     for a, (y, w) in enumerate(axes):
         F *= _along(w, a, pts.shape[1])
         y -= pts[:, a:a + 1]
-    return [y for y, _ in axes], F
+    return [y for y, _ in axes], F, fx
 
 
 # ----------------------------------------------------------------------------
@@ -600,10 +629,13 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
     func, dim = _callable(f, d)
 
     def kernel_values(pts):
-        offsets, WF = _contraction_operands(t, pts, func)
+        offsets, WF, fx = _contraction_operands(t, pts, func)
         # Fubini: the y-quadrature runs inside the s-integrand, so the error
-        # control acts on the values d^k/dt^k P_t f(x) themselves
-        return _subordinate(t, k, lambda s: _contract(s, pts, offsets, WF), tol, _CONTRACT_S_FAR)
+        # control acts on the values d^k/dt^k P_t f(x) themselves.  M_s(x, .)
+        # has unit mass, so P_t f(x) = f(x) + ∫ p(t, x, y) (f(y) - f(x)) dy
+        # and its t-derivatives have no f(x) term
+        vals = _subordinate(t, k, lambda s: _contract(s, pts, offsets, WF), tol, _CONTRACT_S_FAR)
+        return vals + fx if k == 0 else vals
 
     return pointwise(dim, kernel_values)
 
@@ -650,6 +682,6 @@ def kernel_derivative_l1(t: float, x: float, k: int, tol: float = 1e-8) -> Kerne
     mass = derivative_weight_mass(t, k)  # checks t and k
     x = as_points(x, 1).item()
     R = _Y_MARGIN + 2.0 * abs(x)
-    (y,), (wy,) = _graded_panels(t, np.array([x]), np.array([-R]), np.array([R]))
+    (y,), (wy,) = _graded_panels(t, np.array([x]), np.array([-R]), np.array([R]), _L1_GRADING)
     vals = _ph_kernel_payload(t, np.full((y.size, 1), x), y[:, None], 1, k, tol)
     return KernelL1(value=float(np.dot(wy, np.abs(vals))), tail_bound=mass * math.erfc(R - abs(x)))

@@ -131,6 +131,21 @@ class TestIntegrateGaussian:
 
 
 class TestHalfline:
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_rejects_a_tol_that_is_not_positive(self, tol):
+        # a nan tol made 128 integrand calls out to the |u| = 522 cap and
+        # then blamed the integrand for diverging
+        calls = []
+
+        def g(s):
+            calls.append(1)
+            return np.exp(-s)
+
+        for rapid in (False, True):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                integrate_halfline(g, tol, rapid=rapid)
+        assert not calls
+
     def test_gamma_half(self):
         got = integrate_halfline(lambda v: np.exp(-v) * v ** -0.5, 1e-10)
         assert got == pytest.approx(math.gamma(0.5), rel=1e-10)
