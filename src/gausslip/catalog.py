@@ -1,8 +1,8 @@
 """Named test functions with known structure.
 
 Grammar:
-    const:<value>        constant function                      (d = 1, bounded)
-    cos:<a>              cos(a * x_1)                           (d = 1, bounded)
+    const:<value>        constant function, <value> finite      (d = 1, bounded)
+    cos:<a>              cos(a * x_1), <a> finite               (d = 1, bounded)
     gauss-bump           exp(-|x|^2)                            (d = 1, bounded)
     smooth-step          (1 + erf(x_1)) / 2                     (d = 1, bounded)
     hermite:<i>[,<j>..]  orthonormal Hermite polynomial h_nu    (d = len, unbounded)
@@ -35,24 +35,31 @@ class CatalogEntry:
     bounded: bool
 
 
+def _finite_parameter(what: str, arg: str, name: str) -> float:
+    """``arg`` as a finite float, or CatalogError echoing the grammar."""
+    try:
+        value = float(arg)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise CatalogError(f"bad {what} {arg!r} in {name!r} (must be a finite number); "
+                           f"grammar: {_GRAMMAR}")
+    return value
+
+
 def catalog_function(name: str):
     """Resolve a catalog name to (CatalogEntry, callable).
 
-    Unknown names raise CatalogError echoing the grammar.
+    Unknown names, and parameters that do not parse or are not finite,
+    raise CatalogError echoing the grammar.
     """
     head, _, arg = name.partition(":")
     if head == "const":
-        try:
-            c = float(arg)
-        except ValueError:
-            raise CatalogError(f"bad constant {arg!r} in {name!r}; grammar: {_GRAMMAR}")
+        c = _finite_parameter("constant", arg, name)
         entry = CatalogEntry(name=name, dimension=1, bounded=True)
         return entry, pointwise(1, lambda x: np.full(x.shape[0], c))
     if head == "cos":
-        try:
-            a = float(arg)
-        except ValueError:
-            raise CatalogError(f"bad frequency {arg!r} in {name!r}; grammar: {_GRAMMAR}")
+        a = _finite_parameter("frequency", arg, name)
         entry = CatalogEntry(name=name, dimension=1, bounded=True)
         return entry, pointwise(1, lambda x: np.cos(a * x[:, 0]))
     if name == "gauss-bump":
@@ -73,7 +80,7 @@ def catalog_function(name: str):
             raise CatalogError(f"missing path in {name!r}; grammar: {_GRAMMAR}")
         try:
             e = load_expansion(arg)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise CatalogError(f"cannot read expansion file {arg!r}: {exc}")
         entry = CatalogEntry(name=name, dimension=e.dimension, bounded=False)
         return entry, as_function(e)

@@ -118,7 +118,8 @@ def hermite_eval(nu, x):
 class HermiteExpansion:
     """Truncated Fourier-Hermite expansion: one read-only coefficient vector
     over ``graded_indices(dimension, degree_cap)``, given as that vector or as
-    a ``{multi-index: coefficient}`` mapping."""
+    a ``{multi-index: coefficient}`` mapping.  A nan or inf coefficient
+    raises ``ValueError``."""
 
     dimension: int
     degree_cap: int
@@ -143,6 +144,11 @@ class HermiteExpansion:
             vector = np.array(self.vector, dtype=float)
             if vector.shape != (len(rows),):
                 raise ValueError(f"expected {len(rows)} coefficients, got shape {vector.shape}")
+        bad = np.flatnonzero(~np.isfinite(vector))
+        if bad.size:
+            nu = tuple(_index_table(self.dimension, self.degree_cap)[0][bad[0]].tolist())
+            raise ValueError(f"expansion coefficients must be finite; the coefficient "
+                             f"of {nu} is {vector[bad[0]]}")
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
 

@@ -13,7 +13,9 @@ Two workhorses:
   take the plain map s = e^u (``rapid=True``): the sinh map would compress
   them a second time and narrow their strip of analyticity where the mass
   sits, so they would need a finer step.  Either way the rule converges like
-  exp(-c/h).
+  exp(-c/h).  Each map is one ``_HalflineMap`` record, ``_EXP_SINH`` or
+  ``_LOG``, which carries its step, its reach and its negligibility factor;
+  one loop runs on either.
 
 All routines are pure; rules are immutable and safe to share.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,27 +34,6 @@ SQRT_PI = math.sqrt(math.pi)
 
 # 15-point Gauss-Legendre local rule of the composite panels.
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
-
-# Half-line rule, per map: first step, the |u| the first level always
-# covers, the cap on |u|, and the factor of tol / h below which a term is
-# negligible.  Exp-sinh: the first level covers |tau| <= 3, s = e^{+-15.7}
-# (integrands whose mass sits away from s = 1, such as e^{-ns} g(t, s) for
-# large n, are seen there), and at the cap s = exp((pi/2) sinh 6.5) ~
-# e^{+-522} stays inside float64.  Log: the first level covers s = e^{+-16},
-# which contains the exp-sinh first level, and the cap is the same s-range;
-# the tails of the integrands it serves, triple-exponential in tau, are only
-# double-exponential in log s, so a term is negligible 1e4 times further down.
-_DE_STEP = 0.5
-_DE_TAU_FIRST = 3.0
-_DE_TAU_CAP = 6.5
-_DE_QUIET = 1e-2
-_LOG_STEP = 1.0
-_LOG_U_FIRST = 16.0
-_LOG_U_CAP = 522.0
-_LOG_QUIET = 1e-6
-
-# halvings one integral may spend
-_DE_HALVINGS = 8
 
 # Two levels that agree to this multiple of eps times the sum have reached
 # float64 rounding; a change this small against the absolute mass is noise.
@@ -95,8 +77,8 @@ def gauss_hermite_rule(m: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def default_rule(m: int = 64) -> QuadratureRule:
-    return gauss_hermite_rule(m)
+def default_rule() -> QuadratureRule:
+    return gauss_hermite_rule(64)
 
 
 def tensor_grid(axes) -> tuple[np.ndarray, np.ndarray]:
@@ -204,30 +186,82 @@ def gauss_legendre_panels(breakpoints) -> tuple[np.ndarray, np.ndarray]:
 # Trapezoid rule over (0, oo) in tau (exp-sinh map) or in log s
 # ----------------------------------------------------------------------------
 
-def _halfline_terms(g, u: np.ndarray, rapid: bool) -> np.ndarray:
-    """g(s) ds/du at s = e^u (``rapid``) or s = exp((pi/2) sinh u), every
-    node u in one call of g."""
-    if rapid:
-        s = ds = np.exp(u)
-    else:
-        s = np.exp(0.5 * math.pi * np.sinh(u))
-        ds = 0.5 * math.pi * np.cosh(u) * s
+class _HalflineMap(NamedTuple):
+    """A change of variable s = s(u) for the half-line rule, and its walk.
+
+    ``var`` names u in messages, ``step`` is the first step h, ``first`` the
+    |u| the first level always covers, ``cap`` the bound on |u|, ``quiet``
+    the factor of tol / h below which a term is negligible, and ``s_of``
+    maps nodes u to (s, ds/du).
+    """
+
+    var: str
+    step: float
+    first: float
+    cap: float
+    quiet: float
+    s_of: Callable
+
+
+def _exp_sinh(tau):
+    s = np.exp(0.5 * math.pi * np.sinh(tau))
+    return s, 0.5 * math.pi * np.cosh(tau) * s
+
+
+def _exp(u):
+    s = np.exp(u)
+    return s, s
+
+
+# Exp-sinh: the first level covers |tau| <= 3, s = e^{+-15.7} (integrands
+# whose mass sits away from s = 1, such as e^{-ns} g(t, s) for large n, are
+# seen there), and at the cap s = exp((pi/2) sinh 6.5) ~ e^{+-522} stays
+# inside float64.  Log: the first level covers s = e^{+-16}, which contains
+# the exp-sinh first level, and the cap is the same s-range; the tails of the
+# integrands it serves, triple-exponential in tau, are only double-
+# exponential in log s, so a term is negligible 1e4 times further down.
+_EXP_SINH = _HalflineMap("tau", 0.5, 3.0, 6.5, 1e-2, _exp_sinh)
+_LOG = _HalflineMap("u", 1.0, 16.0, 522.0, 1e-6, _exp)
+
+# halvings one integral may spend, on either map
+_HALVINGS = 8
+
+
+def _halfline_terms(g, u: np.ndarray, m: _HalflineMap) -> np.ndarray:
+    """g(s) ds/du at the nodes u of the map ``m``, every node in one call of g."""
+    s, ds = m.s_of(u)
     vals = eval_batch(g, s)
     return vals * ds.reshape(ds.shape + (1,) * (vals.ndim - 1))
+
+
+def _peaks(terms: np.ndarray) -> np.ndarray:
+    """Each node's max-abs term over its payload."""
+    return np.abs(terms).reshape(len(terms), -1).max(axis=1)
+
+
+def _flank(new: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """``rows`` between the first ``n`` of ``new``, which run outward on the
+    left, and the rest of ``new``, which run outward on the right."""
+    return np.concatenate([new[:n][::-1], rows, new[n:]])
 
 
 def _max_abs(v) -> float:
     return float(np.max(np.abs(v)))
 
 
+def _unconverged(message: str, total) -> ConvergenceError:
+    return ConvergenceError(message, estimate=_maybe_scalar(total), error_bound=math.inf)
+
+
 def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
     """Integral of ``g`` over (0, oo) by the trapezoid rule with step halving.
 
-    By default it substitutes s = exp((pi/2) sinh tau), which makes
-    integrands that are analytic on (0, oo) and decay like a power of s (or
-    faster) at both ends decay double-exponentially in tau, and sums
-    g(s) ds/dtau at the nodes tau = j h.  With ``rapid=True`` the variable is
-    u = log s and the terms g(s) s at u = j h: for integrands that already
+    By default it runs on the map ``_EXP_SINH``: it substitutes
+    s = exp((pi/2) sinh tau), which makes integrands that are analytic on
+    (0, oo) and decay like a power of s (or faster) at both ends decay
+    double-exponentially in tau, and sums g(s) ds/dtau at the nodes
+    tau = j h.  With ``rapid=True`` it runs on the map ``_LOG``: the variable
+    is u = log s and the terms g(s) s at u = j h, for integrands that already
     decay double-exponentially in log s at both ends and are analytic in a
     strip around the real u-axis.
 
@@ -255,8 +289,9 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
     whose components take the tests above one by one; the stall check below
     takes the max over them.  It gets every
     new node of a step in one call: the first level, each step of the walk
-    and each halving level, so an integrand whose payload is large bounds
-    its own temporaries.
+    (the left side's new nodes outward, then the right side's) and each
+    halving level, so an integrand whose payload is large bounds its own
+    temporaries.
 
     Raises ConvergenceError, with the last level's sum as estimate and an
     error bound of inf, when the step has halved 8 times (at most
@@ -269,59 +304,47 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
     # ``not tol > 0`` also rejects nan, which no level could ever meet
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if rapid:
-        h, u_first, u_cap, quiet = _LOG_STEP, _LOG_U_FIRST, _LOG_U_CAP, _LOG_QUIET
-    else:
-        h, u_first, u_cap, quiet = _DE_STEP, _DE_TAU_FIRST, _DE_TAU_CAP, _DE_QUIET
-    first, cap = round(u_first / h), round(u_cap / h)
-    quiet = quiet * tol / h
+    m = _LOG if rapid else _EXP_SINH
+    h = m.step
+    cap = round(m.cap / h)
+    quiet = m.quiet * tol / h
 
-    # each node's term, and its max-abs, computed once for the walk's checks
-    terms, peak = {}, {}
+    def grows(reach, outer, inner):
+        # a side walks on while its two outermost terms are not both
+        # negligible (at the cap, the outermost alone)
+        return not (outer <= quiet and (reach == cap or inner <= quiet))
 
-    def add(nodes):
-        vals = _halfline_terms(g, h * np.asarray(nodes, dtype=float), rapid)
-        terms.update(zip(nodes, vals))
-        peak.update(zip(nodes, np.abs(vals).reshape(len(nodes), -1).max(axis=1).tolist()))
-
-    def negligible(j):
-        return peak[j] <= quiet
-
-    # first level: every node with |u| <= u_first, then four more per side
-    # while that side's two outermost terms are not both negligible (at the
-    # cap, the outermost alone)
-    add(range(-first, first + 1))
-    reach = {-1: first, 1: first}
+    # first level: every node with |u| <= m.first, then the walk; the rows
+    # of ``terms`` and ``peak`` run over the nodes j = -lo..hi
+    lo = hi = round(m.first / h)
+    terms = _halfline_terms(g, h * np.arange(-lo, hi + 1.0), m)
+    peak = _peaks(terms)
     while True:
-        todo = [side for side in (-1, 1)
-                if not (negligible(side * reach[side])
-                        and (reach[side] == cap or negligible(side * (reach[side] - 1))))]
-        if not todo:
+        grow_lo, grow_hi = grows(lo, peak[0], peak[1]), grows(hi, peak[-1], peak[-2])
+        if not (grow_lo or grow_hi):
             break
-        if any(reach[side] == cap for side in todo):
-            raise ConvergenceError(
-                f"half-line terms are not negligible at |{'u' if rapid else 'tau'}| "
-                f"= {u_cap}; the integral may diverge",
-                estimate=_maybe_scalar(h * sum(terms.values())),
-                error_bound=math.inf,
-            )
-        add([side * j for side in todo
-             for j in range(reach[side] + 1, min(reach[side] + 4, cap) + 1)])
-        for side in todo:
-            reach[side] = min(reach[side] + 4, cap)
+        if (grow_lo and lo == cap) or (grow_hi and hi == cap):
+            raise _unconverged(f"half-line terms are not negligible at |{m.var}| = {m.cap}; "
+                               f"the integral may diverge", h * sum(terms))
+        new_lo = min(lo + 4, cap) if grow_lo else lo
+        new_hi = min(hi + 4, cap) if grow_hi else hi
+        new = _halfline_terms(g, h * np.concatenate([-np.arange(lo + 1, new_lo + 1.0),
+                                                     np.arange(hi + 1, new_hi + 1.0)]), m)
+        terms = _flank(new, new_lo - lo, terms)
+        peak = _flank(_peaks(new), new_lo - lo, peak)
+        lo, hi = new_lo, new_hi
     # each side ends one node past its outermost term that is not negligible
-    ends = {side: 1 + max((j for j in range(1, reach[side]) if not negligible(side * j)),
-                          default=0) for side in (-1, 1)}
+    loud = np.flatnonzero(peak > quiet) - lo
+    left, right = 1 - int(loud.min(initial=0)), 1 + int(loud.max(initial=0))
 
-    kept = [terms[j] for j in range(-ends[-1], ends[1] + 1)]
+    kept = terms[lo - left:lo + right + 1]
     total = h * sum(kept)
-    mass = h * sum(np.abs(v) for v in kept)
+    mass = h * sum(np.abs(kept))
     diff = None
-    for level in range(1, _DE_HALVINGS + 1):
+    for level in range(1, _HALVINGS + 1):
         h *= 0.5
         # the new nodes: odd multiples of h inside the first level's range
-        new = _halfline_terms(g, h * np.arange(1 - (ends[-1] << level), ends[1] << level, 2.0),
-                              rapid)
+        new = _halfline_terms(g, h * np.arange(1 - (left << level), right << level, 2.0), m)
         prev, total = total, 0.5 * total + h * new.sum(axis=0)
         mass = 0.5 * mass + h * np.abs(new).sum(axis=0)
         last, diff = diff, np.abs(total - prev)
@@ -338,19 +361,12 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
         if np.all((diff <= max(tol, _ROUNDING * _max_abs(total))) | geometric):
             return _maybe_scalar(total)
         if change <= _ROUNDING * _max_abs(mass):
-            raise ConvergenceError(
+            raise _unconverged(
                 f"half-line levels differ by {change:.3g}, the float64 rounding of "
                 f"the integrand's absolute mass {_max_abs(mass):.3g}: cancellation "
-                f"keeps tol {tol:g} out of reach",
-                estimate=_maybe_scalar(total),
-                error_bound=math.inf,
-            )
-    raise ConvergenceError(
-        f"half-line step halved {_DE_HALVINGS} times without two levels agreeing "
-        f"to tol {tol:g}",
-        estimate=_maybe_scalar(total),
-        error_bound=math.inf,
-    )
+                f"keeps tol {tol:g} out of reach", total)
+    raise _unconverged(f"half-line step halved {_HALVINGS} times without two levels "
+                       f"agreeing to tol {tol:g}", total)
 
 
 def _maybe_scalar(value):

@@ -75,6 +75,20 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog_function("expansion:/no/such/file.json")
 
+    @pytest.mark.parametrize("name", ["const:nan", "const:inf", "const:-inf", "cos:inf",
+                                      "cos:nan"])
+    def test_non_finite_parameter_echoes_grammar(self, name):
+        # const:nan once resolved, and lip.modulus then blamed the callable
+        # for not being finite at a quadrature node
+        with pytest.raises(CatalogError, match="finite.*grammar"):
+            catalog_function(name)
+
+    def test_expansion_file_with_a_nan_coefficient(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"d": 1, "N": 1, "entries": [{"nu": [1], "c": NaN}]}')
+        with pytest.raises(CatalogError, match="must be finite"):
+            catalog_function(f"expansion:{path}")
+
 
 def _tiny_report():
     rows = (

@@ -295,6 +295,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             HermiteExpansion(0, 2, {})
 
+    @pytest.mark.parametrize("bad, token", [(math.nan, "NaN"), (math.inf, "Infinity"),
+                                            (-math.inf, "-Infinity")])
+    def test_non_finite_coefficients_rejected(self, bad, token):
+        # a nan coefficient once reached seminorm_estimate, which returned
+        # a_alpha = nan under a 'boundary' flag alone
+        with pytest.raises(ValueError, match=r"finite.*\(0,\)"):
+            HermiteExpansion(1, 2, {(0,): bad, (1,): 1.0})
+        with pytest.raises(ValueError, match=r"finite.*\(2,\)"):
+            HermiteExpansion(1, 2, [1.0, 0.0, bad])
+        text = '{"d": 1, "N": 2, "entries": [{"nu": [1], "c": 1}, {"nu": [2], "c": %s}]}'
+        with pytest.raises(ValueError, match=r"finite.*\(2,\)"):
+            expansion_from_json(text % token)
+
     def test_immutable(self):
         e = HermiteExpansion(1, 2, {(1,): 1.0})
         with pytest.raises(AttributeError):

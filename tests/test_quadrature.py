@@ -224,6 +224,28 @@ class TestHalfline:
                                        atol=1e-12)
             assert tau.size == levels[0].size * 2 ** (level - 1)
 
+    def test_log_walk_grows_one_side_then_trims(self):
+        # e^{-a/s - s} with a = t^2/4 tiny has its left tail far below
+        # u = log s = -16 and its right tail well inside u = 16: the walk
+        # carries only negative u, and the trim drops the right side's
+        # negligible nodes before the first halving
+        mpmath = pytest.importorskip("mpmath")
+        t, tol = 1e-4, 1e-10
+        a = t * t / 4
+        us = []
+
+        def g(s):
+            us.append(np.log(s))
+            return np.exp(-a / s - s)
+
+        got = integrate_halfline(g, tol, rapid=True)
+        np.testing.assert_allclose(us[0], np.arange(-16.0, 17.0), atol=1e-12)
+        np.testing.assert_allclose(us[1], -np.arange(17.0, 21.0), atol=1e-12)
+        np.testing.assert_allclose(us[2], -np.arange(21.0, 25.0), atol=1e-12)
+        np.testing.assert_allclose(us[3], np.arange(-22.5, 4.0), atol=1e-12)
+        root = mpmath.sqrt(mpmath.mpf(a))
+        assert abs(got - float(2 * root * mpmath.besselk(1, 2 * root))) <= tol
+
     def test_geometric_tail_accepts_the_second_halving(self):
         # ∫ e^{-s - 1/4s} ds = K_1(1) in log s: each halving cuts the
         # correction by far more than half, so the tail of the corrections

@@ -1150,9 +1150,8 @@ class TestKernelDerivativeL1:
         h = 1).  One call per step: the first level, at most
         ceil((cap - first) / 4h) steps of the walk and the 8 halving levels.
         """
-        for rapid, cap, step, bound in (
-                (False, quadrature._DE_TAU_CAP, quadrature._DE_STEP, 6657),
-                (True, quadrature._LOG_U_CAP, quadrature._LOG_STEP, 267265)):
+        for rapid, m, bound in ((False, quadrature._EXP_SINH, 6657),
+                                (True, quadrature._LOG, 267265)):
             nodes = []
 
             def mass(s):
@@ -1165,11 +1164,10 @@ class TestKernelDerivativeL1:
             # the levels never agreed, so no finite bound is claimed
             assert err.value.error_bound >= abs(
                 err.value.estimate - derivative_weight_mass(1e-3, 3))
-            assert round(2 * cap / step) * 2 ** quadrature._DE_HALVINGS + 1 == bound
+            assert round(2 * m.cap / m.step) * 2 ** quadrature._HALVINGS + 1 == bound
             assert sum(nodes) <= bound
-            first = quadrature._LOG_U_FIRST if rapid else quadrature._DE_TAU_FIRST
-            walk = math.ceil((cap - first) / (4 * step))
-            assert len(nodes) <= 1 + walk + quadrature._DE_HALVINGS
+            walk = math.ceil((m.cap - m.first) / (4 * m.step))
+            assert len(nodes) <= 1 + walk + quadrature._HALVINGS
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
