@@ -40,8 +40,12 @@ def config_from_args(args) -> SuiteConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run_suite(args.suite, config)
     if not args.quiet:
         for row in report.rows:

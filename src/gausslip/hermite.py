@@ -269,10 +269,30 @@ def expansion_to_json(e: HermiteExpansion) -> str:
             % (e.dimension, e.degree_cap, body))
 
 
+_JSON_LAYOUT = '{"d": <int>, "N": <int>, "entries": [{"nu": [<int>, ...], "c": <number>}, ...]}'
+
+
+def _json_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def expansion_from_json(text: str) -> HermiteExpansion:
+    """The expansion of a JSON text in the layout ``expansion_to_json``
+    writes.  A missing key or a value of the wrong type raises ValueError
+    naming the layout, as does text that is not JSON."""
     raw = json.loads(text)
-    coeffs = {tuple(entry["nu"]): float(entry["c"]) for entry in raw["entries"]}
-    return HermiteExpansion(int(raw["d"]), int(raw["N"]), coeffs)
+    try:
+        entries = raw["entries"]
+        ok = (_json_int(raw["d"]) and _json_int(raw["N"]) and isinstance(entries, list)
+              and all(isinstance(e["nu"], list) and all(map(_json_int, e["nu"]))
+                      and isinstance(e["c"], (int, float)) and not isinstance(e["c"], bool)
+                      for e in entries))
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise ValueError(f"an expansion file needs the layout {_JSON_LAYOUT}")
+    coeffs = {tuple(e["nu"]): float(e["c"]) for e in entries}
+    return HermiteExpansion(raw["d"], raw["N"], coeffs)
 
 
 def save_expansion(e: HermiteExpansion, path) -> None:

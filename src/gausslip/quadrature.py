@@ -291,7 +291,11 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
     new node of a step in one call: the first level, each step of the walk
     (the left side's new nodes outward, then the right side's) and each
     halving level, so an integrand whose payload is large bounds its own
-    temporaries.
+    temporaries.  The first two halvings share a call, the first's new
+    nodes ascending and then the second's, since the second always follows
+    the first; each keeps its own sum and tests, so every error below comes
+    at the same level as with a call per level (a non-finite value at a
+    node of the second comes one call earlier).
 
     Raises ConvergenceError, with the last level's sum as estimate and an
     error bound of inf, when the step has halved 8 times (at most
@@ -337,14 +341,28 @@ def integrate_halfline(g, tol: float = 1e-10, *, rapid: bool = False):
     loud = np.flatnonzero(peak > quiet) - lo
     left, right = 1 - int(loud.min(initial=0)), 1 + int(loud.max(initial=0))
 
+    def odd(step, level):
+        # a level's new nodes: the odd multiples of its step inside the first
+        # level's range
+        return step * np.arange(1 - (left << level), right << level, 2.0)
+
+    # the kept rows summed in order, as a Python sum would; ``.sum()`` sums
+    # 1-d payloads pairwise
     kept = terms[lo - left:lo + right + 1]
-    total = h * sum(kept)
-    mass = h * sum(np.abs(kept))
+    total = h * np.cumsum(kept, axis=0)[-1]
+    mass = h * np.cumsum(np.abs(kept), axis=0)[-1]
     diff = None
     for level in range(1, _HALVINGS + 1):
         h *= 0.5
-        # the new nodes: odd multiples of h inside the first level's range
-        new = _halfline_terms(g, h * np.arange(1 - (left << level), right << level, 2.0), m)
+        if level == 1:
+            # level 1 is never accepted, so level 2's nodes come in its call
+            u = odd(h, 1)
+            both = _halfline_terms(g, np.concatenate([u, odd(0.5 * h, 2)]), m)
+            new, ahead = both[:u.size], both[u.size:]
+        elif level == 2:
+            new = ahead
+        else:
+            new = _halfline_terms(g, odd(h, level), m)
         prev, total = total, 0.5 * total + h * new.sum(axis=0)
         mass = 0.5 * mass + h * np.abs(new).sum(axis=0)
         last, diff = diff, np.abs(total - prev)

@@ -60,7 +60,8 @@ the same exponent floor; the L^1 routine passes its one x through the same
 payload, since it needs |p| pointwise in y, on finer panels
 (``_L1_GRADING``): |p| has kinks at its sign changes near x.
 
-The half-line rule passes every new s-node of a step in one call; the
+The half-line rule passes every new s-node of a step in one call (the
+first two halvings share one), and T_inf comes with the first; the
 s-integrands block their temporaries over s-nodes and points within one
 budget, ``_BLOCK_VALUES``.
 
@@ -307,16 +308,29 @@ def _subordinate(t: float, k: int, semigroup, tol: float, s_far: float = math.in
     k = 0: the integrand decays like e^{-s}.  The one place that decides
     where the semigroup runs: its term is exactly 0 where d^k g underflows
     to 0, and at s >= ``s_far``, past which the caller's float64 T_s is
-    T_inf bit for bit, so ``semigroup`` runs at neither.
+    T_inf bit for bit, so ``semigroup`` runs at neither.  T_inf has no call
+    of its own: the first call, the first level's (or, on eval_batch's
+    per-node retry, the first node's), takes s = inf after its live nodes.
+    A skipped node's term is 0 against that batch's T_inf, which may differ
+    from a lone s = inf column in the last bits: BLAS may sum a batch of
+    s-nodes in another order than a single one.
     """
-    limit = semigroup(np.array([np.inf]))[0]
+    limit = None
 
     def integrand(s):
+        nonlocal limit
         # eval_batch's per-node retry passes scalar nodes
         sv = np.atleast_1d(s)
         g = _stable_weight_factor(t, sv, k)
         live = (g != 0.0) & (sv < s_far)
-        terms = semigroup(sv[live]) if live.any() else np.empty((0,) + limit.shape)
+        if limit is None:
+            # the first call, the first level's, brings T_inf as its last row
+            terms = semigroup(np.append(sv[live], np.inf))
+            limit, terms = terms[-1].copy(), terms[:-1]
+        elif live.any():
+            terms = semigroup(sv[live])
+        else:
+            terms = np.empty((0,) + limit.shape)
         terms -= limit
         terms *= g[live].reshape((-1,) + (1,) * limit.ndim)
         if live.all():
@@ -476,10 +490,13 @@ def _contract(s: np.ndarray, pts: np.ndarray, offsets, WF: np.ndarray) -> np.nda
         for so in range(0, inv.size, sb):
             sl = slice(so, so + sb)
             acc = WF[blk].reshape(len(pts[blk]), 1, -1)
+            # the (block, sb, 3) exponent coefficients (1, 2m, -m^2) / (1 - r^2)
+            coef = np.empty((len(acc), inv[sl].size, 3))
+            coef[..., 0] = inv[sl]
             for a, row in enumerate(rows):
                 m = np.multiply.outer(pts[blk, a], r_minus_1[sl])        # (block, sb)
-                coef = np.stack([np.broadcast_to(inv[sl], m.shape), 2.0 * inv[sl] * m,
-                                 -inv[sl] * m * m], axis=-1)
+                np.multiply(2.0 * inv[sl], m, out=coef[..., 1])
+                np.multiply(-inv[sl] * m, m, out=coef[..., 2])
                 factor = _floored_exp(coef @ row)[:, :, None, :]       # (block, sb, 1, N_a)
                 acc = (factor @ acc.reshape(acc.shape[:2] + (row.shape[-1], -1)))[:, :, 0, :]
             out[sl, blk] = acc[:, :, 0].T

@@ -64,6 +64,23 @@ class SuiteConfig:
     tol: float = 1e-6
     seed: int = 0
 
+    def __post_init__(self):
+        # values on which rows would crash instead of check; every test
+        # below is false on nan
+        if not (math.isfinite(self.t_min) and self.t_min > 0):
+            raise ValueError(f"t_min must be finite and > 0, got {self.t_min!r}")
+        if not (math.isfinite(self.t_max) and self.t_max >= self.t_min):
+            raise ValueError(f"t_max must be finite and >= t_min = {self.t_min!r}, "
+                             f"got {self.t_max!r}")
+        if self.t_count < 2:
+            raise ValueError(f"t_count must be >= 2, got {self.t_count!r}")
+        if self.x_count < 3:
+            raise ValueError(f"x_count must be >= 3, got {self.x_count!r}")
+        if not (math.isfinite(self.x_radius) and self.x_radius > 0):
+            raise ValueError(f"x_radius must be finite and > 0, got {self.x_radius!r}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be > 0, got {self.tol!r}")
+
     def t_grid(self) -> tuple:
         return tuple(np.geomspace(self.t_min, self.t_max, self.t_count))
 

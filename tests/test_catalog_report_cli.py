@@ -89,6 +89,19 @@ class TestCatalog:
         with pytest.raises(CatalogError, match="must be finite"):
             catalog_function(f"expansion:{path}")
 
+    @pytest.mark.parametrize("text", ['{"d": 1}', '[1, 2]', '{"d": 1, "N": 2, "entries": 5}',
+                                      '{"d": 1, "N": 2, "entries": [{"nu": [1]}]}',
+                                      '{"d": "1", "N": 2, "entries": []}',
+                                      '{"d": 1, "N": 2, "entries": [{"nu": 1, "c": 0.5}]}'],
+                             ids=["no-entries", "list", "entries-int", "no-c", "d-string", "nu-int"])
+    def test_expansion_file_without_the_layout(self, tmp_path, text):
+        # {"d": 1} once raised a bare KeyError: 'entries', which failed the
+        # lipschitz rows as error:KeyError 'entries'
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(CatalogError, match=r"bad\.json.*layout.*entries"):
+            catalog_function(f"expansion:{path}")
+
 
 def _tiny_report():
     rows = (
@@ -271,6 +284,21 @@ class TestCLI:
         assert config_from_args(build_parser().parse_args([])) == SuiteConfig()
         args = build_parser().parse_args(["--f", "cos:1", "--t-count", "3"])
         assert config_from_args(args) == SuiteConfig(functions=("cos:1",), t_count=3)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-min", "0"), ("--t-min", "nan"), ("--t-min", "inf"), ("--t-max", "0.01"),
+        ("--t-count", "1"), ("--x-count", "1"), ("--x-count", "2"), ("--x-radius", "0"),
+        ("--tol", "0"), ("--tol", "nan")])
+    def test_grid_that_crashes_rows_is_a_usage_error(self, flag, value, capsys):
+        # --t-min 0 once failed 19 rows with "Geometric sequence cannot
+        # include zero", and --x-radius 0 failed 46 rows with ValueError
+        name = flag[2:].replace("-", "_")
+        with pytest.raises(ValueError, match=name):
+            config_from_args(build_parser().parse_args([flag, value]))
+        with pytest.raises(SystemExit) as exit_:
+            main(["--suite", "kernel-bound", "--quiet", flag, value])
+        assert exit_.value.code == 2
+        assert f"{name} must be" in capsys.readouterr().err
 
     def test_exit_zero_and_report_file(self, tmp_path, capsys):
         out = tmp_path / "fd.json"

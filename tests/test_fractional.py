@@ -114,6 +114,40 @@ def test_difference_integrals_match_mpmath(beta):
             assert got == pytest.approx(float(integral(a) / c), rel=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["bessel_potential", "bessel_derivative"])
+@pytest.mark.parametrize("beta", [0.5, 1.5, 2.5])
+def test_bessel_integral_eigenvalues_match_mpmath(kind, beta):
+    """The integral Bessel pair on levels n = 1, 4, 9, rate a = 1 + sqrt(n):
+    ∫ s^{beta-1} e^{-a s} ds / Gamma(beta) for the potential and
+    ∫ s^{-beta-1} (e^{-a s} - 1)^k ds / c^k_beta for the derivative, by
+    30-digit quadrature of these defining integrals, not their closed forms
+    (1 + sqrt(n))^{-+beta}."""
+    mpmath = pytest.importorskip("mpmath")
+    levels = (1, 4, 9)
+    spec = FractionalSpec(kind, beta, "integral")
+    k = spec.k
+    got = apply_fractional(HermiteExpansion(1, 9, {(n,): 1.0 for n in levels}), spec)
+    with mpmath.workdps(30):
+        b = mpmath.mpf(beta)
+
+        def difference(a):
+            # past s = 1, (e^{-as} - 1)^k - (-1)^k decays exponentially and
+            # the (-1)^k s^{-beta-1} tail is (-1)^k / beta
+            head = mpmath.quad(lambda s: mpmath.expm1(-a * s) ** k * s ** (-b - 1), [0, 1])
+            tail = mpmath.quad(lambda s: (mpmath.expm1(-a * s) ** k - (-1) ** k)
+                               * s ** (-b - 1), [1, mpmath.inf])
+            return head + tail + (-1) ** k / b
+
+        for n in levels:
+            a = 1 + mpmath.sqrt(n)
+            if kind == "bessel_potential":
+                want = mpmath.quad(lambda s: s ** (b - 1) * mpmath.exp(-a * s),
+                                   [0, 1, mpmath.inf]) / mpmath.gamma(b)
+            else:
+                want = difference(a) / difference(1)
+            assert abs(got.coefficient((n,)) - float(want)) <= FractionalSpec.tol
+
+
 class TestEigenvalueOracle:
     def test_reference_values(self):
         assert eigenvalue_oracle("bessel_potential", 1.0, 1, "spectral") == \

@@ -201,9 +201,11 @@ class TestHalfline:
             integrate_halfline(lambda s: np.exp(-s), -1e-8)
 
     def test_payload_in_one_call_per_step(self):
-        # the first level (|tau| <= 3 at h = 0.5), each step of the walk (at
-        # most four nodes a side, on the first step's grid) and each halving
-        # level (the odd multiples of the new step) come in one call each
+        # the first level (|tau| <= 3 at h = 0.5) and each step of the walk
+        # (at most four nodes a side, on the first step's grid) come in one
+        # call each; then one call holds the first halving's new nodes (odd
+        # multiples of 0.25) followed by the second's (odd multiples of
+        # 0.125), each ascending, and every further level has a call of its own
         taus = []
 
         def g(s):
@@ -214,15 +216,21 @@ class TestHalfline:
         assert got == pytest.approx([1.0, 1.0, 0.5], rel=1e-10)
         np.testing.assert_allclose(taus[0], 0.5 * np.arange(-6, 7), atol=1e-12)
         walk = [tau for tau in taus[1:] if np.allclose(2.0 * tau, np.round(2.0 * tau))]
-        levels = taus[1 + len(walk):]
         assert walk and all(tau.size <= 8 and np.all(np.abs(tau) > 3.0) for tau in walk)
-        assert len(levels) >= 2
-        for level, tau in enumerate(levels, start=1):
-            h = 0.5 / 2 ** level
-            assert round(tau[0] / h) % 2 == 1
-            np.testing.assert_allclose(tau, h * np.arange(tau[0] / h, tau[-1] / h + 1.0, 2.0),
-                                       atol=1e-12)
-            assert tau.size == levels[0].size * 2 ** (level - 1)
+        first_two, *further = taus[1 + len(walk):]
+        # the first level keeps -left..right steps of 0.5, so the first
+        # halving adds left + right nodes from (1 - 2 left) 0.25 on and the
+        # second twice as many
+        left = round((1.0 - first_two[0] / 0.25) / 2.0)
+        right = first_two.size // 3 - left
+
+        def odd(level):
+            return 0.5 / 2 ** level * np.arange(1 - (left << level), right << level, 2.0)
+
+        np.testing.assert_allclose(first_two, np.concatenate([odd(1), odd(2)]), atol=1e-12)
+        assert further
+        for level, tau in enumerate(further, start=3):
+            np.testing.assert_allclose(tau, odd(level), atol=1e-12)
 
     def test_log_walk_grows_one_side_then_trims(self):
         # e^{-a/s - s} with a = t^2/4 tiny has its left tail far below
@@ -242,7 +250,11 @@ class TestHalfline:
         np.testing.assert_allclose(us[0], np.arange(-16.0, 17.0), atol=1e-12)
         np.testing.assert_allclose(us[1], -np.arange(17.0, 21.0), atol=1e-12)
         np.testing.assert_allclose(us[2], -np.arange(21.0, 25.0), atol=1e-12)
-        np.testing.assert_allclose(us[3], np.arange(-22.5, 4.0), atol=1e-12)
+        # the first two halvings share a call: their odd multiples of 1/2,
+        # then of 1/4
+        np.testing.assert_allclose(
+            us[3], np.concatenate([np.arange(-22.5, 4.0), 0.25 * np.arange(-91.0, 16.0, 2.0)]),
+            atol=1e-12)
         root = mpmath.sqrt(mpmath.mpf(a))
         assert abs(got - float(2 * root * mpmath.besselk(1, 2 * root))) <= tol
 
@@ -260,8 +272,9 @@ class TestHalfline:
             calls.clear()
             got = integrate_halfline(g, tol, rapid=True)
             assert abs(got - 0.6019072301972346) <= tol
-            # the first level and two halvings; the walk adds no node
-            assert len(calls) == 3
+            # the first level, then both halvings in one call; the walk adds
+            # no node
+            assert len(calls) == 2
 
     def test_cancellation_below_rounding_raises(self):
         # ∫ c (e^{-s} - 2 e^{-2s}) ds = 0, but the terms carry mass ~c, whose

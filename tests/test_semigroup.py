@@ -829,6 +829,81 @@ class TestFarNodes:
         assert np.max(np.concatenate(nodes)) >= far
 
 
+class TestSubordinateCalls:
+    """T_inf comes with the first level's semigroup call, as its last row,
+    and the half-line rule's first two halvings share one call."""
+
+    _LEVELS = np.array([1.0, 4.0, 9.0])
+
+    @classmethod
+    def _on_levels(cls, calls):
+        def semigroup(s):
+            calls.append(np.array(s, copy=True))
+            return np.exp(-np.multiply.outer(s, cls._LEVELS))
+        return semigroup
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_limit_ends_the_first_batch(self, k):
+        calls, t, tol = [], 0.5, 1e-10
+        got = semigroup._subordinate(t, k, self._on_levels(calls), tol)
+        assert calls[0].size > 1 and calls[0][-1] == np.inf
+        assert np.all(np.isfinite(np.concatenate([calls[0][:-1], *calls[1:]])))
+        assert np.all(np.abs(got - ph_symbol(t, self._LEVELS, k)) <= tol)
+
+    def test_limit_survives_the_per_node_retry(self):
+        # a semigroup that rejects its first batch: eval_batch then calls
+        # the integrand node by node, and the first of those calls brings
+        # T_inf (alone here: at s = e^{-16} the weight underflows to 0)
+        calls, t, tol = [], 0.5, 1e-10
+        on_levels = self._on_levels(calls)
+
+        def rejects_once(s):
+            if not calls:
+                calls.append(None)
+                raise ValueError("batch rejected")
+            return on_levels(s)
+
+        got = semigroup._subordinate(t, 1, rejects_once, tol)
+        assert calls[1].tolist() == [np.inf]
+        assert np.all(np.isfinite(np.concatenate(calls[2:])))
+        assert np.all(np.abs(got - ph_symbol(t, self._LEVELS, 1)) <= tol)
+
+    def test_kernel_request_saves_two_semigroup_calls(self, monkeypatch):
+        # d/dt P_t h_2 at t = 0.5, tol 1e-9, on 11 points.  With a call of
+        # its own for T_inf and one per halving, the same 63 s-nodes took
+        # three integrand calls and four contractions; now the first level
+        # (u = log s = -16..16) with T_inf as its last row, then the first
+        # halving's odd multiples of 1/2 over -7..3 and the second's of 1/4
+        seen, contracted = [], []
+        halfline, contract = semigroup.integrate_halfline, semigroup._contract
+
+        def recorded_halfline(g, *args, **kwargs):
+            def recorded(s):
+                seen.append(np.log(s))
+                return g(s)
+            return halfline(recorded, *args, **kwargs)
+
+        def recorded_contract(s, *args):
+            contracted.append(np.log(s))
+            return contract(s, *args)
+
+        monkeypatch.setattr(semigroup, "integrate_halfline", recorded_halfline)
+        monkeypatch.setattr(semigroup, "_contract", recorded_contract)
+        xs = np.linspace(-2.5, 2.5, 11)[:, None]
+        got = ph_apply(lambda p: hermite_eval((2,), p), SemigroupQuery(0.5, "kernel", 1),
+                       d=1, tol=1e-9)(xs)
+        assert np.max(np.abs(got - ph_symbol(0.5, 2.0, 1) * hermite_eval((2,), xs))) <= 1e-8
+        assert len(seen) == len(contracted) == 2
+        halvings = np.concatenate([0.5 * np.arange(-13.0, 6.0, 2.0),
+                                   0.25 * np.arange(-27.0, 12.0, 2.0)])
+        np.testing.assert_allclose(seen[0], np.arange(-16.0, 17.0), atol=1e-12)
+        np.testing.assert_allclose(seen[1], halvings, atol=1e-12)
+        # the weight underflows below u = -9 and s_far = 37.5 cuts at u = 3
+        np.testing.assert_allclose(contracted[0], np.append(np.arange(-9.0, 4.0), np.inf),
+                                   atol=1e-12)
+        np.testing.assert_allclose(contracted[1], halvings, atol=1e-12)
+
+
 class TestMemory:
     """tracemalloc peaks of one call after a warm-up call.  The half-line rule
     passes a whole level of s-nodes per call, so the s-integrands block their
