@@ -9,7 +9,7 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .fractional import REPRESENTATIONS
+from .fractional import KINDS, REPRESENTATIONS
 from .report import write_report
 from .suites import SUITES, SuiteConfig, run_suite
 
@@ -23,10 +23,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalog function (repeatable), e.g. cos:1, const:2.5, "
                         "hermite:3, expansion:/path.json")
     defaults = SuiteConfig()
+    choices = {"kind": KINDS, "representation": REPRESENTATIONS}
     for field in fields(SuiteConfig)[1:]:  # functions is --f
         default = getattr(defaults, field.name)
         p.add_argument("--" + field.name.replace("_", "-"), type=type(default), default=default,
-                       choices=REPRESENTATIONS if field.name == "representation" else None)
+                       choices=choices.get(field.name))
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", metavar="PATH", default=None)
     p.add_argument("--quiet", action="store_true", help="print only the summary")

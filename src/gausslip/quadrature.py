@@ -122,20 +122,25 @@ def eval_batch(f, x: np.ndarray) -> np.ndarray:
 
     ``x`` holds n points of shape (n, d) or n scalar nodes of shape (n,).
     On points ``f`` must return shape (n,); on scalar nodes it may also
-    return a payload of shape (n, ...), as half-line integrands do.  A scalar
-    result is broadcast to every node.  A callable that rejects the batch with
-    TypeError or ValueError is called once per node instead.  Any other
-    result shape raises ValueError naming it, and a non-finite value raises
-    EvaluationError carrying its node.
+    return a payload of shape (n, ...), as half-line integrands do.  There is
+    one fallback: a callable that rejects the batch with TypeError or
+    ValueError, or answers it with a single number, is written for one node
+    and is called once per node instead (a constant callable too); no value
+    is ever broadcast.  Complex values raise ValueError naming their dtype,
+    any other result shape raises ValueError naming it, and a non-finite
+    value raises EvaluationError carrying its node.
     """
     n = x.shape[0]
     try:
-        vals = np.asarray(f(x), dtype=float)
+        vals = np.asarray(f(x))
     except (TypeError, ValueError):
-        vals = np.asarray([f(x[i]) for i in range(n)], dtype=float)
-    if vals.shape == ():
-        vals = np.full(n, float(vals))
-    elif vals.shape[:1] != (n,) or (x.ndim > 1 and vals.ndim > 1):
+        vals = None
+    if vals is None or vals.shape == ():
+        vals = np.asarray([f(x[i]) for i in range(n)])
+    if np.iscomplexobj(vals):
+        raise ValueError(f"callable returned {vals.dtype} values; expected real ones")
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape[:1] != (n,) or (x.ndim > 1 and vals.ndim > 1):
         expected = f"({n},)" if x.ndim > 1 else f"({n},) or ({n}, ...)"
         raise ValueError(f"callable returned shape {vals.shape} for {n} nodes, "
                          f"expected {expected}")

@@ -25,8 +25,9 @@ Mehler's formula writes T_s as a Gaussian average,
     T_s f(x) = ∫ f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y),
 
 which the 64-node Gauss-Hermite tensor rule evaluates with no truncation and
-exactly for polynomials of degree < 128 in each variable.  ``ou_apply`` and
-``ph_apply`` build the rule once, when they make the operator.
+exactly for polynomials of degree < 128 in each variable.
+``_mehler_gauss_hermite`` reads that rule itself, from ``tensor_nodes``'
+cache.
 
 Every s-integral against d^k g/dt^k runs against T_s - T_inf, where T_inf f
 is the gamma-mean of f: the integrand then decays like e^{-s} instead of
@@ -66,7 +67,10 @@ s-integrands block their temporaries over s-nodes and points within one
 budget, ``_BLOCK_VALUES``.
 
 Callables passed in follow the batch contract of ``quadrature.eval_batch``:
-point batches of shape (n, d) in, shape (n,) out.  Every evaluator this
+point batches of shape (n, d) in, shape (n,) out.  A callable written for
+one point, one that rejects the batch or answers it with a single number,
+is called once per point instead, so it gives the same values as its
+vectorized twin; complex values raise ``ValueError``.  Every evaluator this
 module returns, the ``ou_apply`` / ``ph_apply`` operators and the pointwise
 kernels, keeps the point contract of ``hermite.pointwise``: a float for a
 single point, an array of the batch shape otherwise, and ``ValueError`` for
@@ -258,18 +262,19 @@ def _blocks(points: int, per_point: int, per_pair: int) -> tuple:
     return xb, max(1, _BLOCK_VALUES // (xb * per_pair))
 
 
-def _mehler_gauss_hermite(f, s: np.ndarray, pts: np.ndarray, nodes) -> np.ndarray:
+def _mehler_gauss_hermite(f, s: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """T_s f at the points for each s, shape (S, X), by Mehler's formula
 
         T_s f(x) = ∫ f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y)
 
-    on the tensor Gauss-Hermite rule ``nodes`` (points (m^d, d), weights).
-    ``f`` is evaluated once per block of s-nodes, points and rule nodes
-    (all of them up to d = 2), on its (sb, block, ub) rule points: their d
-    coordinates and f's values count against ``_BLOCK_VALUES``.
+    on the d-fold tensor of the default 64-node Gauss-Hermite rule (cached by
+    ``tensor_nodes``).  ``f`` is evaluated once per block of s-nodes, points
+    and rule nodes (all of them up to d = 2), on its (sb, block, ub) rule
+    points: their d coordinates and f's values count against
+    ``_BLOCK_VALUES``.
     """
-    U, wu = nodes
     X, d = pts.shape
+    U, wu = tensor_nodes(default_rule(), d)
     r = np.exp(-s)[:, None, None, None]
     sig = np.sqrt(-np.expm1(-2.0 * s))[:, None, None, None]
     ub = min(U.shape[0], _BLOCK_VALUES // (d + 1))
@@ -286,13 +291,13 @@ def _mehler_gauss_hermite(f, s: np.ndarray, pts: np.ndarray, nodes) -> np.ndarra
     return out / math.pi ** (d / 2.0)
 
 
-def _gauss_hermite_s_far(pts: np.ndarray, u: np.ndarray) -> float:
+def _gauss_hermite_s_far(pts: np.ndarray) -> float:
     """The s past which ``_mehler_gauss_hermite``'s rule points
-    e^{-s} x + sqrt(1 - e^{-2s}) U at these points round to U, as at s = inf,
-    for the tensor rule of the 1-d nodes ``u``: sigma rounds to 1 past s = 19
-    (e^{-38} < 2^{-54}), and |e^{-s} x| stays below an eighth of the float
-    spacing at the smallest |u|, within half a spacing of every coordinate."""
-    tiny = np.spacing(np.min(np.abs(u))) / 8.0
+    e^{-s} x + sqrt(1 - e^{-2s}) U at these points round to U, as at s = inf:
+    sigma rounds to 1 past s = 19 (e^{-38} < 2^{-54}), and |e^{-s} x| stays
+    below an eighth of the float spacing at the default rule's smallest
+    |node|, within half a spacing of every coordinate."""
+    tiny = np.spacing(np.min(np.abs(default_rule().nodes))) / 8.0
     return max(19.0, math.log(max(float(np.max(np.abs(pts))), tiny) / tiny))
 
 
@@ -407,15 +412,17 @@ def _along(v: np.ndarray, a: int, d: int) -> np.ndarray:
     return v.reshape((v.shape[0],) + (1,) * a + (-1,) + (1,) * (d - 1 - a))
 
 
-def _ph_graded_grids(t: float, pts: np.ndarray, func):
-    """Per-point graded y-grids, ``func`` on them and ``func`` at the points.
+def _contraction_operands(t: float, pts: np.ndarray, func):
+    """The per-point graded y-grids as ``_contract`` takes them: per axis the
+    offsets y_a - x_a (X, N_a); w (F - f(x)) (X, N_1, ..., N_d) with every
+    axis's weights w multiplied in; and f at the points.
 
     Point i gets the tensor grid of its per-axis panels graded toward x_i
     (``_APPLY_GRADING``), on [-hypot(min(x_ia, 0), 8), hypot(max(x_ia, 0), 8)]
-    (``_Y_MARGIN``); each axis is one (X, N_a) array whose rows end in zero
-    weights.  ``func`` is evaluated once, on the nodes of nonzero weight,
-    point by point in row-major order, and then at the points themselves;
-    F is 0 elsewhere.
+    (``_Y_MARGIN``); each axis's rows end in zero weights.  ``func`` is
+    evaluated once, on the nodes of nonzero weight, point by point in
+    row-major order, and then at the points themselves; F is 0 elsewhere.
+    The offsets are written over the nodes, and the weights are dropped.
     """
     X, d = pts.shape
     axes = [_graded_panels(t, c, -np.hypot(np.minimum(c, 0.0), _Y_MARGIN),
@@ -428,22 +435,14 @@ def _ph_graded_grids(t: float, pts: np.ndarray, func):
     nodes = np.stack([np.broadcast_to(_along(y, a, d), shape)[used]
                       for a, (y, _) in enumerate(axes)], axis=-1)
     vals = eval_batch(func, np.concatenate([nodes, pts]))
-    F = np.zeros(shape)
-    F[used] = vals[:-X]
-    return axes, F, vals[-X:]
-
-
-def _contraction_operands(t: float, pts: np.ndarray, func):
-    """The graded grids as ``_contract`` takes them: per axis the
-    offsets y_a - x_a (X, N_a), written over the nodes; w (F - f(x)) with
-    every axis's weights w multiplied in; and f at the points.  The weights
-    are dropped."""
-    axes, F, fx = _ph_graded_grids(t, pts, func)
-    F -= fx.reshape((-1,) + (1,) * pts.shape[1])
+    fx = vals[-X:]
+    WF = np.zeros(shape)
+    WF[used] = vals[:-X]
+    WF -= fx.reshape((-1,) + (1,) * d)
     for a, (y, w) in enumerate(axes):
-        F *= _along(w, a, pts.shape[1])
+        WF *= _along(w, a, d)
         y -= pts[:, a:a + 1]
-    return [y for y, _ in axes], F, fx
+    return [y for y, _ in axes], WF, fx
 
 
 # ----------------------------------------------------------------------------
@@ -535,8 +534,7 @@ def ou_apply(f, q: SemigroupQuery, *, d: int = 1):
         raise ValueError("ou_apply supports the spectral and kernel methods")
     func, dim = _callable(f, d)
     s = np.array([q.t])
-    nodes = tensor_nodes(default_rule(), dim)
-    return pointwise(dim, lambda pts: _mehler_gauss_hermite(func, s, pts, nodes)[0])
+    return pointwise(dim, lambda pts: _mehler_gauss_hermite(func, s, pts)[0])
 
 
 # ----------------------------------------------------------------------------
@@ -637,10 +635,8 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
         if isinstance(f, HermiteExpansion):
             return scale_by_level(
                 f, lambda n: _subordination_multiplier(t, tuple(n.tolist()), k, tol))
-        nodes = tensor_nodes(default_rule(), d)
         return pointwise(d, lambda pts: _subordinate(
-            t, k, lambda s: _mehler_gauss_hermite(f, s, pts, nodes), tol,
-            _gauss_hermite_s_far(pts, default_rule().nodes)))
+            t, k, lambda s: _mehler_gauss_hermite(f, s, pts), tol, _gauss_hermite_s_far(pts)))
 
     # kernel method
     func, dim = _callable(f, d)

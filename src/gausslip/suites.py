@@ -80,6 +80,25 @@ class SuiteConfig:
             raise ValueError(f"x_radius must be finite and > 0, got {self.x_radius!r}")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol!r}")
+        if self.kind not in frac.KINDS:
+            raise ValueError(f"kind must be one of {frac.KINDS}, got {self.kind!r}")
+        if self.representation not in frac.REPRESENTATIONS:
+            raise ValueError(f"representation must be one of {frac.REPRESENTATIONS}, "
+                             f"got {self.representation!r}")
+        # an integer alpha is a valid seminorm order: only the modulus rows reject it
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if self.kind.endswith("derivative") and self.beta >= self.alpha:
+            raise ValueError(f"beta must be < alpha = {self.alpha!r} for kind {self.kind!r}, "
+                             f"got {self.beta!r}")
+        if self.nodes < 1:
+            raise ValueError(f"nodes must be >= 1, got {self.nodes!r}")
+        if self.degree_cap < 0:
+            raise ValueError(f"degree_cap must be >= 0, got {self.degree_cap!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
     def t_grid(self) -> tuple:
         return tuple(np.geomspace(self.t_min, self.t_max, self.t_count))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from gausslip.report import (
     report_to_json,
     write_report,
 )
-from gausslip.suites import SuiteConfig, run_suite
+from gausslip import suites
+from gausslip.suites import RowSpec, SuiteConfig, run_suite
 
 
 class TestCatalog:
@@ -285,20 +287,33 @@ class TestCLI:
         args = build_parser().parse_args(["--f", "cos:1", "--t-count", "3"])
         assert config_from_args(args) == SuiteConfig(functions=("cos:1",), t_count=3)
 
-    @pytest.mark.parametrize("flag, value", [
+    @pytest.mark.parametrize("args", [
         ("--t-min", "0"), ("--t-min", "nan"), ("--t-min", "inf"), ("--t-max", "0.01"),
         ("--t-count", "1"), ("--x-count", "1"), ("--x-count", "2"), ("--x-radius", "0"),
-        ("--tol", "0"), ("--tol", "nan")])
-    def test_grid_that_crashes_rows_is_a_usage_error(self, flag, value, capsys):
+        ("--tol", "0"), ("--tol", "nan"), ("--kind", "foo"), ("--nodes", "0"),
+        ("--degree-cap", "-1"), ("--seed", "-1"), ("--alpha", "0"), ("--alpha", "nan"),
+        ("--beta", "0"),
+        ("--kind", "riesz_derivative", "--alpha", "0.5", "--beta", "0.7")],
+        ids="-".join)
+    def test_grid_that_crashes_rows_is_a_usage_error(self, args, capsys):
         # --t-min 0 once failed 19 rows with "Geometric sequence cannot
-        # include zero", and --x-radius 0 failed 46 rows with ValueError
-        name = flag[2:].replace("-", "_")
+        # include zero", --x-radius 0 failed 46 rows with ValueError,
+        # --degree-cap -1 failed 51, and --seed -1 ended the run with a
+        # traceback.  The last flag names the bad value; a kind outside
+        # KINDS is an argparse choice error before SuiteConfig
+        flags, values = args[::2], args[1::2]
+        name = flags[-1][2:].replace("-", "_")
+        config = {}
+        for flag, value in zip(flags, values):
+            field = flag[2:].replace("-", "_")
+            config[field] = type(getattr(SuiteConfig, field))(value)
         with pytest.raises(ValueError, match=name):
-            config_from_args(build_parser().parse_args([flag, value]))
+            SuiteConfig(**config)
         with pytest.raises(SystemExit) as exit_:
-            main(["--suite", "kernel-bound", "--quiet", flag, value])
+            main(["--suite", "kernel-bound", "--quiet", *args])
         assert exit_.value.code == 2
-        assert f"{name} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{name} must be" in err or f"argument {flags[-1]}: invalid choice" in err
 
     def test_exit_zero_and_report_file(self, tmp_path, capsys):
         out = tmp_path / "fd.json"
@@ -380,7 +395,14 @@ class TestCLI:
         assert outs[0] and outs[0] == outs[1]
 
     def test_invalid_operator_hypothesis_fails_cleanly(self):
-        report = run_suite("boundedness", SuiteConfig(
-            functions=("cos:1",), kind="riesz_derivative", beta=0.9, alpha=0.5))
-        bad = [r for r in report.rows if r.flags and "error:" in r.flags[0]]
-        assert bad and report.summary["failed"] == len(bad)
+        # beta >= alpha for a derivative kind: SuiteConfig rejects it before
+        # a row runs, and a probe row that meets it anyway fails with the
+        # probe's error as its flag
+        with pytest.raises(ValueError, match="beta must be < alpha"):
+            SuiteConfig(functions=("cos:1",), kind="riesz_derivative", beta=0.9, alpha=0.5)
+        config = SuiteConfig(functions=("cos:1",))
+        row = RowSpec("bounded.riesz_derivative.beta0.9.alpha0.5.cos:1", "spectral probe",
+                      partial(suites._bounded, config, "riesz_derivative", 0.9, 0.5,
+                              "spectral", "cos:1"), check="bound").evaluate()
+        assert not row.passed and row.flags == (
+            "error:ValueError: a derivative probe requires beta < alpha",)

@@ -235,13 +235,11 @@ class TestPHKernel:
                     -10.0 - abs(x), 10.0 + abs(x), 0.25)
                 assert got == pytest.approx(1.0, abs=1e-7)
 
-    def test_positivity_on_random_sample(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            t = float(rng.uniform(0.1, 2.0))
-            x = float(rng.uniform(-2.0, 2.0))
-            y = float(rng.uniform(-3.0, 3.0))
-            assert ph_kernel(t, x, y) > 0.0
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-4, 5.0), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    def test_positivity_on_random_sample(self, t, x, y):
+        # the smallest value seen, at t = 1e-4 and (x, y) = (-4, 4), is 1.8e-12
+        assert ph_kernel(t, x, y) > 0.0
 
     def test_eigenfunction_consistency(self):
         t, x = 0.5, 1.0
@@ -303,6 +301,48 @@ class TestPHKernel:
             direct = ph_kernel(t, np.array(x), np.array(y), d=2, tol=1e-9)
             series = self._series_oracle_2d(t, x, y)
             assert direct == pytest.approx(series, rel=rel)
+
+
+def _assert_reversible(kernel, t, x, y):
+    # gamma-reversibility: p(t, x, y) e^{-x^2} = p(t, y, x) e^{-y^2}
+    a = kernel(t, x, y) * math.exp(-x * x)
+    b = kernel(t, y, x) * math.exp(-y * y)
+    assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b)), (t, x, y, a, b)
+
+
+_REVERSIBLE = {
+    "mehler": mehler_kernel,
+    "ph": ph_kernel,
+    "ph-k1": lambda t, x, y: ph_kernel_time_derivative(t, x, y, 1),
+}
+
+
+class TestReversibility:
+    """The kernels against Lebesgue dy are gamma-reversible, at their default
+    tol.  The worst gaps seen are 4e-16 for the Mehler kernel and p, 2.3e-13
+    for d/dt p, 5.3e-13 for k = 2 and 1.1e-11 for k = 3.  Below t = 0.05 the
+    k = 2 and 3 kernels raise ConvergenceError."""
+
+    @pytest.mark.parametrize("name", _REVERSIBLE)
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-4, 5.0), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    def test_down_to_small_t(self, name, t, x, y):
+        _assert_reversible(_REVERSIBLE[name], t, x, y)
+
+    # derandomized: about 1 in 500 random (t, x, y) misses the bound at k = 3
+    # (test_third_order_misses), so a random draw would make this flaky
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3]), st.floats(0.05, 5.0), st.floats(-4.0, 4.0),
+           st.floats(-4.0, 4.0))
+    def test_higher_orders(self, k, t, x, y):
+        _assert_reversible(lambda *a: ph_kernel_time_derivative(*a, k), t, x, y)
+
+    @pytest.mark.xfail(strict=True, reason="the two orders of a pair run separate adaptive "
+                       "s-integrals, which stop at different levels within tol 1e-9")
+    @pytest.mark.parametrize("t, x, y", [(0.45, 0.0, 1.0), (0.05, 0.05, -0.8792907293106635),
+                                         (0.12915338341325944, 1.04, -1.724)])
+    def test_third_order_misses(self, t, x, y):
+        _assert_reversible(lambda *a: ph_kernel_time_derivative(*a, 3), t, x, y)
 
 
 class TestPHApply:
@@ -640,25 +680,37 @@ class TestMehlerContract:
         # the separable, floored contraction against the sum over every node of
         # each point's tensor grid of kernel x weights x (F - f(x)), in long
         # double with r = e^{-s} in long double: the contraction forms its
-        # centres from expm1(-s), exact to rounding
+        # centres from expm1(-s), exact to rounding.  Each point's grid is
+        # its own graded panels on the route's span, with f evaluated there
         t, pts = 0.05, np.array(pts)
         d = pts.shape[1]
         func = lambda p: np.cos(p[:, 0]) * (1.5 + np.sin(p[:, -1]))
-        axes, F, fx = semigroup._ph_graded_grids(t, pts, func)
+        offsets, WF, fx = semigroup._contraction_operands(t, pts, func)
         assert np.array_equal(fx, func(pts))
-        offsets, WF, _ = semigroup._contraction_operands(t, pts, func)
         s = np.array([1e-7, 1e-3, 0.3, 5.0, 40.0, np.inf])
         got = semigroup._contract(s, pts, offsets, WF)
         ld = np.longdouble
-        for j, sj in enumerate(s):
-            r = np.exp(-ld(sj))
-            one_minus_r2 = -np.expm1(ld(-2.0) * ld(sj))
-            for i, x in enumerate(pts):
-                terms = F[i].astype(ld) - ld(fx[i])
+        for i, x in enumerate(pts):
+            axes = [_one_point_panels(t, c) for c in x]
+            used = tuple(slice(y.size) for y, _ in axes)
+            F = func(quadrature.tensor_grid(axes)[0]).reshape(tuple(y.size for y, _ in axes))
+            # the operand: (F - f(x)) with each axis's weights multiplied in,
+            # in axis order, on the point's leading nodes, and 0 after them
+            want = F - fx[i]
+            for a, (_, w) in enumerate(axes):
+                want = want * semigroup._along(w[None], a, d)[0]
+            assert np.array_equal(WF[i][used], want)
+            rest = WF[i].copy()
+            rest[used] = 0.0
+            assert not rest.any()
+            for j, sj in enumerate(s):
+                r = np.exp(-ld(sj))
+                one_minus_r2 = -np.expm1(ld(-2.0) * ld(sj))
+                terms = F.astype(ld) - ld(fx[i])
                 for a, (y, w) in enumerate(axes):
-                    z = y[i].astype(ld) - r * ld(x[a])
+                    z = y.astype(ld) - r * ld(x[a])
                     factor = np.exp(-z * z / one_minus_r2) / np.sqrt(ld(math.pi) * one_minus_r2)
-                    terms = terms * semigroup._along((factor * w[i])[None], a, d)[0]
+                    terms = terms * semigroup._along((factor * w)[None], a, d)[0]
                 scale = float(np.abs(terms).sum())
                 assert scale > 0.0
                 assert abs(got[j, i] - float(terms.sum())) <= 1e-13 * scale, (sj, x)
@@ -770,14 +822,12 @@ class TestFarNodes:
     @pytest.mark.parametrize("pts", [np.linspace(-8.4, 8.4, 11)[:, None], _FAR_OUT,
                                      np.array([[-8.4, 3.0], [0.3, -1.2]])])
     def test_gauss_hermite_far_nodes_equal_the_limit(self, pts):
-        d = pts.shape[1]
-        nodes = quadrature.tensor_nodes(quadrature.default_rule(), d)
         func = lambda p: np.cos(p[:, 0]) * (1.5 + np.sin(p[:, -1]))
-        s_far = semigroup._gauss_hermite_s_far(pts, quadrature.default_rule().nodes)
+        s_far = semigroup._gauss_hermite_s_far(pts)
         assert s_far == _gauss_hermite_s_far(pts)
-        limit = semigroup._mehler_gauss_hermite(func, np.array([np.inf]), pts, nodes)
+        limit = semigroup._mehler_gauss_hermite(func, np.array([np.inf]), pts)
         s = np.array([0.3, s_far, np.nextafter(s_far, np.inf), 60.0, 1e4])
-        got = semigroup._mehler_gauss_hermite(func, s, pts, nodes)
+        got = semigroup._mehler_gauss_hermite(func, s, pts)
         assert np.all(got[1:] == limit)
         assert not np.any(got[0] == limit[0])
 
@@ -785,13 +835,11 @@ class TestFarNodes:
         # at s = 40, past the contraction's s_far, e^{-s} 3200 ~ 1.4e-14 still
         # moves every rule point off its node, and T_s differs from T_inf
         # there; e^{-s} 0.5 does not
-        rule = quadrature.default_rule()
-        nodes = quadrature.tensor_nodes(rule, 1)
-        near = semigroup._gauss_hermite_s_far(np.array([[8.4]]), rule.nodes)
-        far = semigroup._gauss_hermite_s_far(_FAR_OUT, rule.nodes)
+        near = semigroup._gauss_hermite_s_far(np.array([[8.4]]))
+        far = semigroup._gauss_hermite_s_far(_FAR_OUT)
         assert near < 43.0 < 48.0 < far
         got = semigroup._mehler_gauss_hermite(lambda p: np.sin(p[:, 0]),
-                                              np.array([40.0, np.inf]), _FAR_OUT, nodes)
+                                              np.array([40.0, np.inf]), _FAR_OUT)
         assert got[0, 0] != got[1, 0] and got[0, 1] == got[1, 1]
 
     @pytest.mark.parametrize("method, k, pts, s_far", [
@@ -998,18 +1046,29 @@ class TestGradedPanels:
     @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
            st.floats(1e-3, 5.0))
     def test_batch_rows_match_single_points(self, xs, t):
+        # one call of f: each point's nodes of nonzero weight, row by row,
+        # then the points; each row's used columns lead and the rest is 0
         pts = np.array(xs)[:, None]
-        axes, F, fx = semigroup._ph_graded_grids(t, pts, lambda p: 1.0 + p[:, 0])
-        (y, w), = axes
+        calls = []
+
+        def func(p):
+            calls.append(p.copy())
+            return 1.0 + p[:, 0]
+
+        (offsets,), WF, fx = semigroup._contraction_operands(t, pts, func)
         assert np.array_equal(fx, 1.0 + pts[:, 0])
+        rows = []
         for i, c in enumerate(xs):
             y1, w1 = _one_point_panels(t, c)
             y0, w0 = gauss_legendre_panels(_graded_breaks_loop(*_axis_span(c), c, t, _APPLY))
             assert np.array_equal(y1, y0) and np.array_equal(w1, w0)
-            used = w[i] > 0
-            assert np.array_equal(y[i, used], y1) and np.array_equal(w[i, used], w1)
-            assert np.array_equal(F[i, used], 1.0 + y1)
-            assert not F[i, ~used].any()
+            rows.append(y1)
+            used = np.arange(WF.shape[1]) < y1.size
+            assert np.array_equal(offsets[i, used], y1 - c)
+            assert np.array_equal(WF[i, used], ((1.0 + y1) - (1.0 + c)) * w1)
+            assert not WF[i, ~used].any()
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.concatenate(rows + [pts[:, 0]])[:, None])
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(-10.0, 10.0), st.floats(1e-3, 5.0))
