@@ -178,9 +178,10 @@ def sup_norm_estimate(f, x_radius: float = 3.0, grid_points: int = 121) -> SupNo
 def _sups_with_f(e: HermiteExpansion, symbol: np.ndarray, x_radius: float,
                  grid_points: int) -> tuple:
     """The sup-norm of f, those of its image under each row of the (T, N+1)
-    ``symbol`` and f's boundary flag, from one (1 + T, N+1) coefficient array."""
+    ``symbol``, f's boundary flag and those of the rows, from one (1 + T, N+1)
+    coefficient array."""
     value, _, edge = _sup_norms(np.vstack([e.vector, e.vector * symbol]), x_radius, grid_points)
-    return value[0].item(), value[1:].tolist(), edge[0]
+    return value[0].item(), value[1:].tolist(), edge[0], edge[1:]
 
 
 def _derivative_symbol(e: HermiteExpansion, order: int, t_grid) -> np.ndarray:
@@ -201,15 +202,25 @@ def _check_order(alpha: float, n: int | None) -> int:
     return n
 
 
+def _noise_floor(sup_f: float) -> float:
+    """The size below which a seminorm of f is projection roundoff: it leaves
+    ~1e-16 coefficients on exactly-flat inputs."""
+    return 1e-12 * (1.0 + sup_f)
+
+
 def _estimate(alpha: float, n: int, t_grid: tuple, x_radius: float, sup_f: float,
-              sups: list, boundary: bool) -> LipschitzEstimate:
+              sups: list, boundary: bool, edges) -> LipschitzEstimate:
     """The estimate whose f row has the sup-norm ``sup_f`` (its argmax on the
-    box edge if ``boundary``) and whose t-rows have the sup-norms ``sups``."""
-    flags = ["boundary"] if boundary else []
+    box edge if ``boundary``) and whose t-rows have the sup-norms ``sups``
+    (their argmaxes on the edge where ``edges`` is true).  It flags
+    ``boundary`` for f's row and for the row that attains A_alpha, unless
+    A_alpha is below ``_noise_floor``."""
     rows = [SeminormRow(t=t, sup_norm=sup, weighted=t ** (n - alpha) * sup)
             for t, sup in zip(t_grid, sups)]
     weighted = [r.weighted for r in rows]
     a_alpha = max(weighted)
+    at_edge = edges[weighted.index(a_alpha)] and a_alpha > _noise_floor(sup_f)
+    flags = ["boundary"] if boundary or at_edge else []
     if len(rows) >= 2 and weighted[0] == a_alpha and weighted[0] > 1.02 * weighted[1] > 0:
         flags.append("non_convergent")
     return LipschitzEstimate(alpha=alpha, n=n, t_grid=t_grid, x_radius=x_radius,
@@ -224,14 +235,16 @@ def seminorm_estimate(f, alpha: float, t_grid=None, x_radius: float = 3.0, *,
 
     Flags ``non_convergent`` when the weighted rows are still rising at the
     smallest t (evidence that f fails the Lipschitz condition of this order
-    at the grid resolution), and ``boundary`` when a sup-norm argmax landed
-    on the box edge.
+    at the grid resolution), and ``boundary`` when the sup-norm argmax of f
+    or of the row that attains A_alpha landed on the box edge (not when
+    A_alpha is projection noise, below 1e-12 (1 + sup f)).
     """
     n = _check_order(alpha, n)
     t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
-    sup_f, sups, edge = _sups_with_f(e, _derivative_symbol(e, n, t_grid), x_radius, grid_points)
-    return _estimate(alpha, n, t_grid, x_radius, sup_f, sups, edge)
+    sup_f, sups, edge, edges = _sups_with_f(e, _derivative_symbol(e, n, t_grid), x_radius,
+                                            grid_points)
+    return _estimate(alpha, n, t_grid, x_radius, sup_f, sups, edge, edges)
 
 
 @dataclass(frozen=True)
@@ -265,7 +278,7 @@ def modulus_probe(f, alpha: float, n: int | None = None, t_grid=None, *,
     e = _as_expansion(f, degree_cap)
     # (P_t - I)^n acts on chaos level m by (e^{-sqrt(m) t} - 1)^n
     symbol = np.expm1(-np.sqrt(np.arange(e.degree_cap + 1)) * np.array(t_grid)[:, None]) ** n
-    sup_f, norms, _ = _sups_with_f(e, symbol, x_radius, grid_points)
+    sup_f, norms, _, _ = _sups_with_f(e, symbol, x_radius, grid_points)
     rows = tuple(ModulusRow(t=t, norm=norm, ratio=norm / t ** alpha)
                  for t, norm in zip(t_grid, norms))
     return ModulusReport(alpha=alpha, n=n, rows=rows,
@@ -298,11 +311,11 @@ def derivative_equivalence_probe(f, alpha: float, k: int, l: int, t_grid=None, *
     t_grid = _sorted_t_grid(t_grid)
     e = _as_expansion(f, degree_cap)
     symbol = np.vstack([_derivative_symbol(e, k, t_grid), _derivative_symbol(e, l, t_grid)])
-    sup_f, sups, edge = _sups_with_f(e, symbol, x_radius, grid_points)
-    est_k = _estimate(alpha, k, t_grid, x_radius, sup_f, sups[:len(t_grid)], edge)
-    est_l = _estimate(alpha, l, t_grid, x_radius, sup_f, sups[len(t_grid):], edge)
-    # projection roundoff leaves ~1e-16 coefficients on exactly-flat inputs
-    noise = 1e-12 * (1.0 + est_k.sup_norm_f)
+    sup_f, sups, edge, edges = _sups_with_f(e, symbol, x_radius, grid_points)
+    T = len(t_grid)
+    est_k = _estimate(alpha, k, t_grid, x_radius, sup_f, sups[:T], edge, edges[:T])
+    est_l = _estimate(alpha, l, t_grid, x_radius, sup_f, sups[T:], edge, edges[T:])
+    noise = _noise_floor(sup_f)
     if est_k.a_alpha <= noise and est_l.a_alpha <= noise:
         return EquivalenceReport(alpha, k, l, est_k.a_alpha, est_l.a_alpha, 1.0,
                                  exact_zero=True, comparable=True)
@@ -418,11 +431,13 @@ def operator_boundedness_probe(op: FractionalSpec, f_suite, alpha: float,
     stable = True
     for r, name in enumerate(names):
         block, edge = value[r * width:(r + 1) * width].tolist(), boundary[r * width:]
-        source = _estimate(alpha, n, t_grid, x_radius, block[0], block[1:1 + size], edge[0])
+        source = _estimate(alpha, n, t_grid, x_radius, block[0], block[1:1 + size], edge[0],
+                           edge[1:1 + size])
         target = _estimate(target_alpha, m, t_grid, x_radius, block[1 + size],
-                           block[2 + size:2 + 2 * size], edge[1 + size])
+                           block[2 + size:2 + 2 * size], edge[1 + size],
+                           edge[2 + size:2 + 2 * size])
         target_ref = _estimate(target_alpha, m, refined, x_radius, block[1 + size],
-                               block[2 + 2 * size:], edge[1 + size])
+                               block[2 + 2 * size:], edge[1 + size], edge[2 + 2 * size:width])
         src_norm = source.sup_norm_f + source.a_alpha
         flags = tuple(sorted(set(source.flags) | set(target.flags)))
         if src_norm == 0.0:

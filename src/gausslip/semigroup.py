@@ -6,9 +6,9 @@ subordination of T against the one-sided stable density of order 1/2,
 
     g(t, s) = t / (2 sqrt(pi)) * e^{-t^2/4s} * s^{-3/2},
 
-which also yields the integral kernel p(t, x, y) and, by differentiating the
-scalar factor t e^{-t^2/4s} under the integral sign, its time derivatives up
-to order 3.
+which also yields the integral kernel p(t, x, y) and, differentiated under
+the integral sign, its t-derivatives of every integer order k: d^k g/dt^k
+is H_{k+1}(t / 2 sqrt s) times g's exponential (``_stable_weight_factor``).
 
 Representations:
   * ``spectral``      -- exact multiplier action on a HermiteExpansion,
@@ -18,63 +18,44 @@ Representations:
                          where e^{-s} x_i +- 8 sqrt(1 - e^{-2s}) reach over
                          s); for T_t, Mehler's formula (below),
   * ``subordination`` -- s-integral of T_s against d^k g/dt^k (t, s),
-                         k <= 3, T_s by Mehler's formula.
+                         T_s by Mehler's formula.
 
-Mehler's formula writes T_s as a Gaussian average,
+Mehler's formula, T_s f(x) = ∫ f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y),
+runs on the 64-node Gauss-Hermite tensor rule (``tensor_nodes``' cache):
+no truncation, and exact for polynomials of degree < 128 in each variable.
 
-    T_s f(x) = ∫ f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y),
+Every s-integral runs against T_s - T_inf, T_inf f the gamma-mean of f, so
+the integrand decays like e^{-s}; T_inf comes back in closed form, since
+∫ g ds = 1 and ∫ d^k g/dt^k ds = 0 for k >= 1.  The term is exactly 0 where
+d^k g underflows and past a route's ``s_far``, where the float64 T_s is
+T_inf bit for bit, and the semigroup runs at neither.  The trapezoid rule
+runs in u = log s (``integrate_halfline(rapid=True)``): the integrand
+vanishes double-exponentially in u at both ends and keeps its strip of
+analyticity |Im u| < pi/2 where the mass sits (s ~ t^2).  At k >= 1 the
+terms cancel, by up to ∫|d^k g| ds = C_k / t^k against the value, and
+``_subordinate`` raises where the rounding of the uncancelled values
+exceeds tol; the pointwise kernels skip that guard and stop at k = 3.
 
-which the 64-node Gauss-Hermite tensor rule evaluates with no truncation and
-exactly for polynomials of degree < 128 in each variable.
-``_mehler_gauss_hermite`` reads that rule itself, from ``tensor_nodes``'
-cache.
+The kernel route applies d^k/dt^k P_t as one s-integral per call whose
+payload is the batch of values at the x-points (Fubini: the error control
+acts on the values themselves).  It contracts the kernel against
+f(y) - f(x) and adds f(x) back for k = 0: M_s(x, .) has unit mass, so the
+integrand vanishes at the short-time spike and constants come back exactly.
+The y-grids, graded toward each point, carry the weights multiplied into
+F = f(y) - f(x), with f evaluated once per call; at each s-node the Mehler
+kernel, a product of 1-d kernels, is applied one axis at a time with its
+exponents raised to ``_EXP_FLOOR``.  The pointwise kernels ``ph_kernel`` /
+``ph_kernel_time_derivative`` run one s-integral whose payload is every
+(x, y) pair; the L^1 routine passes its one x through it on finer panels
+(``_L1_GRADING``), as |p| has kinks at its sign changes near x.  Every
+s-integrand blocks its temporaries within ``_BLOCK_VALUES``.
 
-Every s-integral against d^k g/dt^k runs against T_s - T_inf, where T_inf f
-is the gamma-mean of f: the integrand then decays like e^{-s} instead of
-s^{-3/2}.  T_inf comes back in closed form, since ∫ g ds = 1 and
-∫ d^k g/dt^k ds = 0 for k >= 1.  The term is exactly 0 where d^k g
-underflows to 0 and past a route's ``s_far``, where the float64 T_s is
-T_inf bit for bit; ``_subordinate`` runs the semigroup at neither.  The
-integral runs in u = log s (``integrate_halfline(rapid=True)``):
-e^{-t^2/4s} and e^{-s} vanish double-exponentially in u at both ends, so the
-trapezoid rule in u needs no further map, and it keeps the integrand's full
-strip of analyticity |Im u| < pi/2 where the mass sits (s ~ t^2), which the
-exp-sinh map would narrow at small t and high chaos levels.
-
-The kernel route applies P_t (and its t-derivatives) as one
-s-integral per call whose payload is the batch of values at the x-points:
-by Fubini the y-quadrature runs inside the s-integrand, so the error control
-acts on d^k/dt^k P_t f(x) itself.  It integrates f(y) - f(x) against the
-kernel and adds f(x) back for k = 0: M_s(x, .) has unit mass, so the
-integrand vanishes at the kernel's short-time spike and a constant comes
-back exactly.  The batch's y-grids, graded toward the points, are built
-together, one array per axis with a row per point whose end carries zero
-weights; f is evaluated once per call, at the nodes of nonzero weight and
-then at the points, and the weights are multiplied into F = f(y) - f(x)
-once; only F and the offsets y - x stay.  At each s-node the Mehler
-kernel, a product of 1-d kernels, is applied to F one axis at a time: per
-point its exponents are one small matrix product, raised to
-``_EXP_FLOOR``, and its normaliser multiplies the sums.  The pointwise
-kernels ``ph_kernel`` / ``ph_kernel_time_derivative`` run one s-integral
-per call whose payload is every (x, y) pair of the broadcast batches, with
-the same exponent floor; the L^1 routine passes its one x through the same
-payload, since it needs |p| pointwise in y, on finer panels
-(``_L1_GRADING``): |p| has kinks at its sign changes near x.
-
-The half-line rule passes every new s-node of a step in one call (the
-first two halvings share one), and T_inf comes with the first; the
-s-integrands block their temporaries over s-nodes and points within one
-budget, ``_BLOCK_VALUES``.
-
-Callables passed in follow the batch contract of ``quadrature.eval_batch``:
-point batches of shape (n, d) in, shape (n,) out.  A callable written for
-one point, one that rejects the batch or answers it with a single number,
-is called once per point instead, so it gives the same values as its
-vectorized twin; complex values raise ``ValueError``.  Every evaluator this
-module returns, the ``ou_apply`` / ``ph_apply`` operators and the pointwise
-kernels, keeps the point contract of ``hermite.pointwise``: a float for a
-single point, an array of the batch shape otherwise, and ``ValueError`` for
-a non-finite coordinate; the routes compute on (n, d) arrays only.
+Callables follow the batch contract of ``quadrature.eval_batch``: (n, d)
+points in, (n,) values out; one written for a single point is called once
+per point, and complex values raise ``ValueError``.  Every evaluator this
+module returns keeps the point contract of ``hermite.pointwise``: a float
+for a single point, an array of the batch shape otherwise, and
+``ValueError`` for a non-finite coordinate.
 """
 from __future__ import annotations
 
@@ -85,8 +66,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .hermite import HermiteExpansion, as_function, as_points, pointwise, scale_by_level
 from .quadrature import (
+    _ROUNDING,
     default_rule,
     eval_batch,
     gauss_legendre_panels,
@@ -109,19 +92,21 @@ _V_CUT = 45.0
 _Y_MARGIN = 8.0
 
 # Mehler exponents are raised to this before ``exp`` in the kernel routes:
-# numpy 2.4's exp is ~100 times slower on arguments in -745..-709 (subnormal
-# results) and ~15 times slower below, and ~20% of the kernel route's
-# exponents are below -745.  e^{-690} ~ 2e-300 stays a normal float after
-# the weights multiply it in; each floored term adds at most
-# e^{-690} (pi (1-r^2))^{-d/2} |w F| to a sum
+# numpy 2.4's exp is ~100 times slower on -745..-709 (subnormal results) and
+# ~15 times below, where ~20% of the exponents lie.  e^{-690} ~ 2e-300 stays
+# normal times the weights; a floored term adds <= e^{-690} (pi (1-r^2))^{-d/2} |w F|
 _EXP_FLOOR = -690.0
 
 # values per block of every temporary the s-integrands make (1 MiB of
-# float64).  The half-line rule passes a whole level of s-nodes per call, so
-# ``_mehler_gauss_hermite``, ``_contract`` and ``_ph_kernel_payload`` block
-# over s-nodes as well as over points: no temporary grows with the size of a
-# level, only the (S, ...) payload itself
+# float64): they block over s-nodes as well as points, so only the (S, ...)
+# payload grows with the size of a half-line level
 _BLOCK_VALUES = 2 ** 17
+
+# ``_subordinate``'s rounding guard at k >= 1, in units of eps: a term
+# d^k g s (T_s - T_inf) carries ~eps d^k g s (|T_s| + |T_inf|) from before its
+# cancellation, which the half-line rule, seeing the cancelled terms, misses.
+# 4 for a margin: at 0 the tests' cases come back up to 2.2 tol off, at 1 none
+_GUARD = 4.0
 
 # ``_contract``'s s_far: expm1(-s) and 1 - e^{-2s} round to -1 and 1 from 54 log 2 ~ 37.43 on
 _CONTRACT_S_FAR = 37.5
@@ -207,26 +192,27 @@ def stable_density(t: float, s):
 
 
 def _stable_weight_factor(t: float, s: np.ndarray, k: int) -> np.ndarray:
-    """k-th t-derivative of g(t, s), k <= 3, vectorized in s.
+    """d^k g/dt^k (t, s) for an integer (or integer-valued float) k >= 0.
 
-    Differentiating the scalar factor phi(t) = t e^{-t^2/4s} gives
-      phi'   = (1 - t^2/2s) e^{-t^2/4s}
-      phi''  = (t^3/4s^2 - 3t/2s) e^{-t^2/4s}
-      phi''' = (-3/2s + 3t^2/2s^2 - t^4/8s^3) e^{-t^2/4s}
-    and d^k g/dt^k = phi^{(k)} s^{-3/2} / (2 sqrt(pi)).
+    By Rodrigues' formula, with u = t / (2 sqrt s) and H_n the physicists'
+    Hermite polynomials,
+        d^k g/dt^k = (-1)^k (2 sqrt s)^{1-k} H_{k+1}(u) e^{-u^2} s^{-3/2} / (4 sqrt pi)
+                   = (-1)^k D_{k+1} e^{-t^2/4s} s^{-3/2} / (2 sqrt pi),
+    where H's recurrence makes D_n = (2 sqrt s)^{2-n} H_n(u) / 2 polynomials
+    in t and 1/s: D_0 = 2s, D_1 = t, D_{n+1} = (t D_n - n D_{n-1}) / 2s.  It
+    runs on the D_n times the one exponential, so every step stays finite and
+    is 0 where that is, at s = inf and where it underflows.
     """
-    _check_kernel_order(k)
+    k = int(k)
     s = np.asarray(s, dtype=float)
-    expo = np.exp(-t * t / (4.0 * s) - 1.5 * np.log(s)) / (2.0 * _SQRT_PI)
-    if k == 0:
-        poly = t
-    elif k == 1:
-        poly = 1.0 - t * t / (2.0 * s)
-    elif k == 2:
-        poly = t ** 3 / (4.0 * s * s) - 1.5 * t / s
-    else:
-        poly = -1.5 / s + 1.5 * t * t / (s * s) - t ** 4 / (8.0 * s ** 3)
-    return poly * expo
+    expo = np.exp(-t * t / (4.0 * s) - 1.5 * np.log(s)) / ((-1) ** k * 2.0 * _SQRT_PI)
+    # a = D_{n-1} expo / 2s, which is expo for n = 1
+    a, poly = expo, t * expo
+    inv = 0.5 / s
+    for n in range(1, k + 1):
+        b = inv * poly
+        a, poly = b, t * b - n * a
+    return poly
 
 
 def _check_time(t: float) -> None:
@@ -240,11 +226,14 @@ def _check_integer_order(k) -> None:
 
 
 def _check_kernel_order(k: int) -> None:
+    # the pointwise kernels skip ``_subordinate``'s rounding guard, which on
+    # their spike-valued payloads raised at k = 3, t = 0.01 where they land
+    # within tol; orders above 3 need it
     _check_integer_order(k)
     if k > 3:
         raise NotImplementedError(
-            "kernel time derivatives are implemented for k <= 3; use the "
-            "spectral representation beyond that")
+            "pointwise kernel time derivatives are implemented for k <= 3; use "
+            "ph_apply beyond that")
 
 
 # ----------------------------------------------------------------------------
@@ -252,25 +241,20 @@ def _check_kernel_order(k: int) -> None:
 # ----------------------------------------------------------------------------
 
 def _blocks(points: int, per_point: int, per_pair: int) -> tuple:
-    """Points and s-nodes per block: ``per_point`` values per point and
-    ``per_pair`` per (s-node, point) pair stay within ``_BLOCK_VALUES``, with
-    at least one of each.  The points come first, a power of two of them:
-    BLAS sums the rows of a (block, n) @ (n,) product four at a time, so each
-    point's sum is then the same at every block size."""
+    """Points and s-nodes per block (at least one of each) that keep
+    ``per_point`` values per point and ``per_pair`` per pair within
+    ``_BLOCK_VALUES``; a power of two of points, as BLAS sums the rows of a
+    (block, n) @ (n,) product four at a time: each sum is then the same."""
     fit = _BLOCK_VALUES // max(per_point, per_pair)
     xb = max(1, min(points, 1 << max(fit.bit_length() - 1, 0)))
     return xb, max(1, _BLOCK_VALUES // (xb * per_pair))
 
 
 def _mehler_gauss_hermite(f, s: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """T_s f at the points for each s, shape (S, X), by Mehler's formula
-
-        T_s f(x) = ∫ f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y)
-
-    on the d-fold tensor of the default 64-node Gauss-Hermite rule (cached by
-    ``tensor_nodes``).  ``f`` is evaluated once per block of s-nodes, points
-    and rule nodes (all of them up to d = 2), on its (sb, block, ub) rule
-    points: their d coordinates and f's values count against
+    """T_s f at the points for each s, shape (S, X), by Mehler's formula on
+    the d-fold tensor of the default 64-node Gauss-Hermite rule.  ``f`` is
+    evaluated once per block of s-nodes, points and rule nodes (all of them
+    up to d = 2): their d coordinates and f's values count against
     ``_BLOCK_VALUES``.
     """
     X, d = pts.shape
@@ -292,11 +276,10 @@ def _mehler_gauss_hermite(f, s: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _gauss_hermite_s_far(pts: np.ndarray) -> float:
-    """The s past which ``_mehler_gauss_hermite``'s rule points
-    e^{-s} x + sqrt(1 - e^{-2s}) U at these points round to U, as at s = inf:
-    sigma rounds to 1 past s = 19 (e^{-38} < 2^{-54}), and |e^{-s} x| stays
-    below an eighth of the float spacing at the default rule's smallest
-    |node|, within half a spacing of every coordinate."""
+    """The s past which ``_mehler_gauss_hermite``'s rule points e^{-s} x +
+    sqrt(1 - e^{-2s}) U round to U, as at s = inf: sigma rounds to 1 past
+    s = 19, and |e^{-s} x| stays below an eighth of the float spacing at the
+    rule's smallest |node|, within half a spacing of every coordinate."""
     tiny = np.spacing(np.min(np.abs(default_rule().nodes))) / 8.0
     return max(19.0, math.log(max(float(np.max(np.abs(pts))), tiny) / tiny))
 
@@ -305,7 +288,8 @@ def _gauss_hermite_s_far(pts: np.ndarray) -> float:
 # Subordination: s-integrals against d^k/dt^k g(t, s)
 # ----------------------------------------------------------------------------
 
-def _subordinate(t: float, k: int, semigroup, tol: float, s_far: float = math.inf) -> np.ndarray:
+def _subordinate(t: float, k: int, semigroup, tol: float, s_far: float = math.inf,
+                 guarded: bool = True) -> np.ndarray:
     """∫ d^k/dt^k g(t, s) T_s ds for ``semigroup``: s (S,) -> T_s values
     (S, ...), which must also take s = inf.
 
@@ -317,13 +301,20 @@ def _subordinate(t: float, k: int, semigroup, tol: float, s_far: float = math.in
     of its own: the first call, the first level's (or, on eval_batch's
     per-node retry, the first node's), takes s = inf after its live nodes.
     A skipped node's term is 0 against that batch's T_inf, which may differ
-    from a lone s = inf column in the last bits: BLAS may sum a batch of
-    s-nodes in another order than a single one.
+    from a lone s = inf column in the last bits.
+
+    At k >= 1, if ``guarded``, raises ConvergenceError where a component's
+    rounding bound ``_GUARD`` eps h sum_j |d^k g(s_j)| s_j (|T_{s_j}| +
+    |T_inf|), over the semigroup's nodes (h the rule's last step), exceeds
+    max(tol, 64 eps |value|).
     """
     limit = None
+    guard = guarded and k >= 1
+    # the nodes, sum_j |d^k g| s_j |T_{s_j}| and sum_j |d^k g| s_j
+    nodes, on_values, on_limit = [], 0.0, 0.0
 
     def integrand(s):
-        nonlocal limit
+        nonlocal limit, on_values, on_limit
         # eval_batch's per-node retry passes scalar nodes
         sv = np.atleast_1d(s)
         g = _stable_weight_factor(t, sv, k)
@@ -336,8 +327,14 @@ def _subordinate(t: float, k: int, semigroup, tol: float, s_far: float = math.in
             terms = semigroup(sv[live])
         else:
             terms = np.empty((0,) + limit.shape)
+        g = g[live]
+        if guard:
+            weight = np.abs(g * sv[live])
+            nodes.append(sv)
+            on_values = on_values + weight @ np.abs(terms).reshape(len(weight), limit.size)
+            on_limit += weight.sum()
         terms -= limit
-        terms *= g[live].reshape((-1,) + (1,) * limit.ndim)
+        terms *= g.reshape((-1,) + (1,) * limit.ndim)
         if live.all():
             return terms.reshape(np.shape(s) + limit.shape)
         # the other nodes' terms are exactly 0
@@ -346,7 +343,19 @@ def _subordinate(t: float, k: int, semigroup, tol: float, s_far: float = math.in
         return v.reshape(np.shape(s) + limit.shape)
 
     vals = np.asarray(integrate_halfline(integrand, tol=tol, rapid=True))
-    return vals + limit if k == 0 else vals
+    if k == 0:
+        return vals + limit
+    if guard:
+        # the rule's nodes lie h j apart in log s, every level's among them
+        h = np.min(np.diff(np.sort(np.log(np.concatenate(nodes)))))
+        bound = _GUARD * np.finfo(float).eps * h * (
+            np.reshape(on_values, limit.shape) + on_limit * np.abs(limit))
+        if np.any(bound > np.maximum(tol, _ROUNDING * np.abs(vals))):
+            raise ConvergenceError(
+                f"the s-integral's float64 rounding reaches {np.max(bound):.3g}, above tol "
+                f"{tol:g}: d^k g/dt^k (T_s - T_inf) cancels at k = {k}, t = {t:g}",
+                estimate=vals, error_bound=math.inf)
+    return vals
 
 
 # ----------------------------------------------------------------------------
@@ -380,12 +389,9 @@ _L1_GRADING = _Grading(0.5, 1.5)
 def _graded_panels(t: float, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                    grading: _Grading):
     """Gauss-Legendre nodes and weights (X, N) on [lo_i, hi_i], graded toward
-    c_i, one row per point on one axis.
-
-    Panel widths start at ``grading.inner`` spike widths at the smallest
-    contributing s, grow by ``grading.growth`` up to 1 away from c_i and are
-    the same in every row: the breakpoints are c_i plus or minus their
-    running sums, clipped at lo_i and hi_i.  Each row's panels come first;
+    c_i, one row per point on one axis: panel widths start at
+    ``grading.inner`` spike widths at the smallest contributing s and grow by
+    ``grading.growth`` up to 1 in every row, clipped at lo_i and hi_i;
     shorter rows end in zero-width panels at hi_i.
     """
     inner = grading.inner * _min_sigma(t)
@@ -414,15 +420,11 @@ def _along(v: np.ndarray, a: int, d: int) -> np.ndarray:
 
 def _contraction_operands(t: float, pts: np.ndarray, func):
     """The per-point graded y-grids as ``_contract`` takes them: per axis the
-    offsets y_a - x_a (X, N_a); w (F - f(x)) (X, N_1, ..., N_d) with every
-    axis's weights w multiplied in; and f at the points.
-
-    Point i gets the tensor grid of its per-axis panels graded toward x_i
-    (``_APPLY_GRADING``), on [-hypot(min(x_ia, 0), 8), hypot(max(x_ia, 0), 8)]
-    (``_Y_MARGIN``); each axis's rows end in zero weights.  ``func`` is
-    evaluated once, on the nodes of nonzero weight, point by point in
-    row-major order, and then at the points themselves; F is 0 elsewhere.
-    The offsets are written over the nodes, and the weights are dropped.
+    offsets y_a - x_a (X, N_a), w (F - f(x)) (X, N_1, ..., N_d) with every
+    axis's weights multiplied in, and f at the points.  Point i's grid is
+    graded toward x_i (``_APPLY_GRADING``) on [-hypot(min(x_ia, 0), 8),
+    hypot(max(x_ia, 0), 8)]; ``func`` runs once, on the nodes of nonzero
+    weight point by point in row-major order, then at the points.
     """
     X, d = pts.shape
     axes = [_graded_panels(t, c, -np.hypot(np.minimum(c, 0.0), _Y_MARGIN),
@@ -452,20 +454,15 @@ def _contraction_operands(t: float, pts: np.ndarray, func):
 def _contract(s: np.ndarray, pts: np.ndarray, offsets, WF: np.ndarray) -> np.ndarray:
     """Sum over a tensor y-grid of M_s(x, y) w(y) F(x; y), shape (S, X).
 
-    The d-dimensional Mehler kernel is the product of 1-d kernels, so the sum
-    is d successive 1-d contractions of ``WF`` = w F (shape (X, N_1, ...,
-    N_d)) with the factors exp(-(c - m)^2 / (1 - r^2)), r = e^{-s}, of the
-    offsets c = y_a - x_a (``offsets[a]``, shape (X, N_a)) and m = (r - 1) x_a,
-    with r - 1 as expm1(-s), exact to rounding where r rounds to 1:
-    O(N d) exponentials per s-node and point instead of O(N^d).  At s = inf,
-    r - 1 and 1 - r^2 are -1 and 1.
-
-    Per block of points and s-nodes and per axis, the exponents are one
-    product of (block, sb, 3) coefficients with the (block, 3, N_a) rows
-    (-c^2, c, 1), raised to ``_EXP_FLOOR``; the normaliser
-    (pi (1 - r^2))^{-d/2} multiplies the (S, X) sums.  The rows of every axis
-    count against ``_BLOCK_VALUES`` per point, and per (s-node, point) the
-    largest axis's exponents and the partial sum after the first axis.
+    The Mehler kernel is a product of 1-d kernels, so the sum is d 1-d
+    contractions of ``WF`` = w F (X, N_1, ..., N_d) with exp(-(c - m)^2 /
+    (1 - r^2)), r = e^{-s}, c = y_a - x_a (``offsets[a]``, (X, N_a)) and
+    m = (r - 1) x_a, r - 1 as expm1(-s): O(N d) exponentials per s-node and
+    point.  Per block and axis the exponents are one product of (block, sb, 3)
+    coefficients with the rows (-c^2, c, 1), raised to ``_EXP_FLOOR``; the
+    normaliser (pi (1 - r^2))^{-d/2} multiplies the sums.  The rows count
+    against ``_BLOCK_VALUES`` per point, the largest axis's exponents and the
+    partial sum after the first axis per (s-node, point).
     """
     r_minus_1 = np.expm1(-s)
     one_minus_r2 = -np.expm1(-2.0 * s)
@@ -478,8 +475,7 @@ def _contract(s: np.ndarray, pts: np.ndarray, offsets, WF: np.ndarray) -> np.nda
         blk = slice(lo, lo + xb)
         rows = []
         for c in offsets:
-            # (-c^2, c, 1) written in place: a stack of temporaries adds
-            # ~0.9 MB to the peak RSS of the nested kernel route
+            # (-c^2, c, 1) in place: a stack adds ~0.9 MB to the nested route's peak
             row = np.empty((c[blk].shape[0], 3, c.shape[1]))
             np.multiply(c[blk], c[blk], out=row[:, 0])
             np.negative(row[:, 0], out=row[:, 0])
@@ -558,7 +554,7 @@ def _ph_kernel_payload(t: float, X: np.ndarray, Y: np.ndarray, d: int,
                     s[so:so + sb, None], X[None, lo:lo + pb], Y[None, lo:lo + pb], d))
         return out
 
-    return _subordinate(t, k, mehler, tol)
+    return _subordinate(t, k, mehler, tol, guarded=False)  # see _check_kernel_order
 
 
 def _ph_kernel_values(t: float, x, y, d: int, k: int, tol: float):
@@ -575,7 +571,8 @@ def ph_kernel(t: float, x, y, tol: float = 1e-9, d: int = 1):
 
 def ph_kernel_time_derivative(t: float, x, y, k: int, tol: float = 1e-9, d: int = 1):
     """d^k/dt^k of p(t, x, y) for 1 <= k <= 3 (differentiation under the
-    integral sign; the k-fold factor is hardcoded)."""
+    integral sign; orders above 3 raise NotImplementedError, see
+    ``_check_kernel_order``)."""
     if k < 1:
         raise ValueError("derivative order k must be >= 1")
     return _ph_kernel_values(t, x, y, d, k, tol)
@@ -588,8 +585,8 @@ def ph_kernel_time_derivative(t: float, x, y, k: int, tol: float = 1e-9, d: int 
 @lru_cache(maxsize=4096)
 def _subordination_multiplier(t: float, levels: tuple, k: int, tol: float) -> np.ndarray:
     """lambda_n(t) = ∫_0^infty e^{-n s} d^k/dt^k g(t, s) ds (equals
-    (-sqrt(n))^k e^{-sqrt(n) t}) for every n in ``levels``, k <= 3, as one
-    read-only array.
+    (-sqrt(n))^k e^{-sqrt(n) t}) for every n in ``levels``, as one read-only
+    array.
 
     One s-integral whose payload holds T_s on each level; its stopping rule
     holds every level to ``tol``, and its truncation is the union of theirs.
@@ -619,9 +616,11 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
     spectral      : expansion -> expansion, multiplier (-sqrt(n))^k e^{-sqrt(n) t}
     subordination : expansion -> expansion via one s-integral over its levels,
                     callable -> callable via Gauss-Hermite evaluation of T_s
-                    (accurate for smooth f); k <= 3
+                    (accurate for smooth f)
     kernel        : callable (or wrapped expansion) -> callable via p(t, x, y)
-                    quadrature on a graded truncated y-grid; k <= 3.
+                    quadrature on a graded truncated y-grid.
+    Every route takes every integer order k; at k >= 1 the s-integral raises
+    ConvergenceError where its rounding exceeds tol (``_subordinate``).
     """
     t = q.t
     k = q.derivative_order
@@ -630,7 +629,6 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
             raise ValueError("the spectral method requires a HermiteExpansion input")
         return scale_by_level(f, lambda n: ph_symbol(t, n, k))
 
-    _check_kernel_order(k)
     if q.method == "subordination":
         if isinstance(f, HermiteExpansion):
             return scale_by_level(
@@ -653,35 +651,33 @@ def ph_apply(f, q: SemigroupQuery, *, d: int = 1, tol: float = 1e-8):
     return pointwise(dim, kernel_values)
 
 
+@lru_cache(maxsize=None)
 def _weight_mass_constant(k: int) -> float:
-    """C_k = t^k ∫ |d^k/dt^k g(t, s)| ds in closed form.
+    """C_k = t^k ∫ |d^k/dt^k g(t, s)| ds in closed form, for an int k >= 1.
 
-    With u = t^2/4s, t^k |d^k g| ds = |q_k(u)| e^{-u} u^{-1/2} du / sqrt(pi),
-    and q_k(u) e^{-u} u^{-1/2} is the derivative of F_k(u) = p_k(u) sqrt(u)
-    e^{-u}, which vanishes at 0 and oo.  The zeros of q_k cut (0, oo) into
-    pieces of one sign, so C_k is the sum of |F_k(b) - F_k(a)| over them.
+    With h = e^{-t^2/4s} / sqrt(pi s), g = -∂_t h and ∂_s h = ∂_t^2 h, so
+    d^k g/dt^k = ∂_s F for F = ∂_t^{k-2} g (-h = -2s g / t for k = 1), which
+    vanishes at s = 0 and inf.  At t = 1, C_k is the sum of |F(b) - F(a)|
+    over the pieces cut at s = 1/4z^2, z the positive zeros of H_{k+1}.
     """
-    p, zeros = {1: (lambda u: 2.0, (0.5,)),
-                2: (lambda u: -4.0 * u, (1.5,)),
-                3: (lambda u: 8.0 * u * u - 4.0 * u,
-                    (1.5 - math.sqrt(1.5), 1.5 + math.sqrt(1.5)))}[k]
-    F = [0.0, *(p(u) * math.sqrt(u) * math.exp(-u) for u in zeros), 0.0]
-    return sum(abs(b - a) for a, b in zip(F, F[1:])) / _SQRT_PI
+    z = np.polynomial.hermite.hermgauss(k + 1)[0]
+    s = 0.25 / z[z > 0.0] ** 2
+    F = _stable_weight_factor(1.0, s, k - 2) if k > 1 else -2.0 * s * _stable_weight_factor(1.0, s, 0)
+    return float(np.sum(np.abs(np.diff(F, prepend=0.0, append=0.0))))
 
 
 def derivative_weight_mass(t: float, k: int) -> float:
-    """∫ |d^k/dt^k g(t, s)| ds = C_k / t^k: the scalar majorant of the
-    kernel-derivative L^1 norm obtained by moving the absolute value inside
-    the s-integral (the y-mass of the Gaussian factor is 1).
-
-    C_1 = 4/sqrt(2 pi e) <= 2, C_2 = 1.8501639576452313 and
-    C_3 = 6.1445366794509875, in closed form (``_weight_mass_constant``).
+    """∫ |d^k/dt^k g(t, s)| ds = C_k / t^k for an integer k >= 1: the scalar
+    majorant of the kernel-derivative L^1 norm obtained by moving the
+    absolute value inside the s-integral (the y-mass of the Gaussian factor
+    is 1).  C_1 = 4/sqrt(2 pi e) <= 2, C_2 = 1.850..., C_3 = 6.144...,
+    C_4 = 29.87... (``_weight_mass_constant``).
     """
     _check_time(t)
     _check_integer_order(k)
-    if not 1 <= k <= 3:
-        raise ValueError("derivative weight mass supports 1 <= k <= 3")
-    return _weight_mass_constant(k) / t ** k
+    if k < 1:
+        raise ValueError("derivative weight mass needs an order k >= 1")
+    return _weight_mass_constant(int(k)) / t ** k
 
 
 def kernel_derivative_l1(t: float, x: float, k: int, tol: float = 1e-8) -> KernelL1:
@@ -692,7 +688,9 @@ def kernel_derivative_l1(t: float, x: float, k: int, tol: float = 1e-8) -> Kerne
     ∫_{|y|>R} mehler(s, x, y) dy <= erfc(R - |x|) uniformly in s, times the
     total |.|-mass of the k-th derivative of the subordination weight.
     """
-    mass = derivative_weight_mass(t, k)  # checks t and k
+    mass = derivative_weight_mass(t, k)  # checks t and k >= 1
+    if k > 3:  # see _check_kernel_order
+        raise ValueError("kernel_derivative_l1 supports 1 <= k <= 3")
     x = as_points(x, 1).item()
     R = _Y_MARGIN + 2.0 * abs(x)
     (y,), (wy,) = _graded_panels(t, np.array([x]), np.array([-R]), np.array([R]), _L1_GRADING)

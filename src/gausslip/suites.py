@@ -72,8 +72,10 @@ class SuiteConfig:
         if not (math.isfinite(self.t_max) and self.t_max >= self.t_min):
             raise ValueError(f"t_max must be finite and >= t_min = {self.t_min!r}, "
                              f"got {self.t_max!r}")
-        if self.t_count < 2:
-            raise ValueError(f"t_count must be >= 2, got {self.t_count!r}")
+        if self.t_count < 4:
+            raise ValueError(f"t_count must be >= 4, got {self.t_count!r}: the t-grid "
+                             f"refinement of lip.seminorm.cos.grid_stability and the "
+                             f"bounded.* rows fails on fewer")
         if self.x_count < 3:
             raise ValueError(f"x_count must be >= 3, got {self.x_count!r}")
         if not (math.isfinite(self.x_radius) and self.x_radius > 0):
@@ -93,10 +95,13 @@ class SuiteConfig:
         if self.kind.endswith("derivative") and self.beta >= self.alpha:
             raise ValueError(f"beta must be < alpha = {self.alpha!r} for kind {self.kind!r}, "
                              f"got {self.beta!r}")
-        if self.nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {self.nodes!r}")
-        if self.degree_cap < 0:
-            raise ValueError(f"degree_cap must be >= 0, got {self.degree_cap!r}")
+        if self.nodes < 14:
+            raise ValueError(f"nodes must be >= 14, got {self.nodes!r}: "
+                             f"ph.limit.t_zero.monotone and ph.limit.t_infinity need them")
+        if self.degree_cap < 2:
+            raise ValueError(f"degree_cap must be >= 2, got {self.degree_cap!r}: "
+                             f"fdiff.semigroup_power.*, lip.spectral_derivative.fd_consistency "
+                             f"and lip.seminorm.cos.grid_stability need it")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 

@@ -284,23 +284,24 @@ class TestRunSuite:
 class TestCLI:
     def test_defaults_are_the_suite_config(self):
         assert config_from_args(build_parser().parse_args([])) == SuiteConfig()
-        args = build_parser().parse_args(["--f", "cos:1", "--t-count", "3"])
-        assert config_from_args(args) == SuiteConfig(functions=("cos:1",), t_count=3)
+        args = build_parser().parse_args(["--f", "cos:1", "--t-count", "5"])
+        assert config_from_args(args) == SuiteConfig(functions=("cos:1",), t_count=5)
 
     @pytest.mark.parametrize("args", [
         ("--t-min", "0"), ("--t-min", "nan"), ("--t-min", "inf"), ("--t-max", "0.01"),
         ("--t-count", "1"), ("--x-count", "1"), ("--x-count", "2"), ("--x-radius", "0"),
         ("--tol", "0"), ("--tol", "nan"), ("--kind", "foo"), ("--nodes", "0"),
         ("--degree-cap", "-1"), ("--seed", "-1"), ("--alpha", "0"), ("--alpha", "nan"),
-        ("--beta", "0"),
+        ("--beta", "0"), ("--t-count", "3"), ("--nodes", "13"), ("--degree-cap", "1"),
         ("--kind", "riesz_derivative", "--alpha", "0.5", "--beta", "0.7")],
         ids="-".join)
     def test_grid_that_crashes_rows_is_a_usage_error(self, args, capsys):
         # --t-min 0 once failed 19 rows with "Geometric sequence cannot
         # include zero", --x-radius 0 failed 46 rows with ValueError,
         # --degree-cap -1 failed 51, and --seed -1 ended the run with a
-        # traceback.  The last flag names the bad value; a kind outside
-        # KINDS is an argparse choice error before SuiteConfig
+        # traceback; --t-count 3 failed 7 rows, --nodes 13 one and
+        # --degree-cap 1 four.  The last flag names the bad value; a kind
+        # outside KINDS is an argparse choice error before SuiteConfig
         flags, values = args[::2], args[1::2]
         name = flags[-1][2:].replace("-", "_")
         config = {}

@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from gausslip import fractional
+from gausslip import fractional, semigroup
 from gausslip.errors import ConvergenceError
 from gausslip.hermite import hermite_eval
 from gausslip.semigroup import (
@@ -37,7 +37,10 @@ TOLS = (1e-9, 1e-7)
 
 # the cases that raise ConvergenceError: the kernel and subordination routes
 # at small t, where the terms of d^k g/dt^k reach ~t^-k and cancel (on h_0
-# the kernel route's terms are all exactly 0, so it returns 0 there)
+# the kernel route's terms are all exactly 0, so it returns 0 there).  Two
+# raise on ``_subordinate``'s rounding guard, kernel-n6-k3-t0.01-tol1e-09
+# and subordination-cos-k3-t0.01-tol1e-09; the others in the half-line
+# rule
 RAISES = {
     "kernel-n1-k2-t0.001-tol1e-09",
     "kernel-n1-k3-t0.001-tol1e-07", "kernel-n1-k3-t0.001-tol1e-09",
@@ -47,6 +50,14 @@ RAISES = {
     "kernel-n3-k3-t0.01-tol1e-09", "kernel-n6-k2-t0.001-tol1e-09",
     "kernel-n6-k3-t0.001-tol1e-07", "kernel-n6-k3-t0.001-tol1e-09",
     "kernel-n6-k3-t0.01-tol1e-09", "subordination-cos-k3-t0.01-tol1e-09",
+    "kernel-n1-k4-t0.001-tol1e-07", "kernel-n1-k4-t0.001-tol1e-09",
+    "kernel-n1-k4-t0.01-tol1e-07", "kernel-n1-k4-t0.01-tol1e-09",
+    "kernel-n1-k4-t0.05-tol1e-09", "kernel-n3-k4-t0.001-tol1e-07",
+    "kernel-n3-k4-t0.001-tol1e-09", "kernel-n3-k4-t0.01-tol1e-07",
+    "kernel-n3-k4-t0.01-tol1e-09", "kernel-n3-k4-t0.05-tol1e-09",
+    "kernel-n6-k4-t0.001-tol1e-07", "kernel-n6-k4-t0.001-tol1e-09",
+    "kernel-n6-k4-t0.01-tol1e-07", "kernel-n6-k4-t0.01-tol1e-09",
+    "kernel-n6-k4-t0.05-tol1e-09",
 }
 
 
@@ -84,7 +95,7 @@ def _eigenvalues(kind, beta):
 def _cases():
     for tol in TOLS:
         for n in (0, 1, 3, 6):
-            for k in range(4):
+            for k in range(5):
                 for t in (1e-3, 0.01, 0.05, 0.3, 1.0, 4.0):
                     yield f"kernel-n{n}-k{k}-t{t}-tol{tol}", tol, _kernel(n, k, t)
         for k in range(4):
@@ -105,6 +116,15 @@ CASES = {name: (tol, case) for name, tol, case in _cases()}
 
 def test_listed_cases_exist():
     assert RAISES <= CASES.keys()
+
+
+def test_the_rounding_guard_is_load_bearing(monkeypatch):
+    # ``_subordinate``'s rounding guard raises on this case; switched off, it
+    # returns 2.2 tol off the closed form, where cancellation passed the
+    # half-line rule's own tests
+    monkeypatch.setattr(semigroup, "_GUARD", 0.0)
+    tol, (call, want) = CASES["kernel-n6-k3-t0.01-tol1e-09"]
+    assert np.max(np.abs(call(tol) - want)) > tol
 
 
 @pytest.mark.parametrize("name", CASES)

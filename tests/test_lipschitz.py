@@ -255,6 +255,24 @@ class TestSeminormEstimate:
         with pytest.raises(ValueError):
             seminorm_estimate(_cos(), 0.5, n=0)
 
+    @pytest.mark.parametrize("name, t", [("cos:1", 0.585), ("cos:2", 0.271)])
+    def test_boundary_flag_of_the_row_that_attains_a_alpha(self, name, t):
+        # f's own argmax is inside the box, that of the t-row attaining
+        # A_alpha is on its edge: the sup there may lie outside the box
+        f = catalog_function(name)[1]
+        est = seminorm_estimate(f, 0.5)
+        top = max(est.rows, key=lambda r: r.weighted)
+        assert top.t == pytest.approx(t, abs=1e-3)
+        assert not sup_norm_estimate(f).boundary
+        row = ph_apply(project(f, 1, 40), SemigroupQuery(top.t, "spectral", 1))
+        assert abs(sup_norm_estimate(row).location) == pytest.approx(3.0, abs=1e-9)
+        assert "boundary" in est.flags
+
+    def test_no_boundary_flag_on_projection_noise(self):
+        # const:1's rows are ~1e-14 of roundoff, some argmaxes on the edge
+        est = seminorm_estimate(catalog_function("const:1")[1], 0.5)
+        assert est.a_alpha <= 1e-12 and est.flags == ()
+
     def test_rough_expansion_flagged_non_convergent(self):
         from gausslip.hermite import HermiteExpansion
         # slowly decaying coefficients: the weighted rows still rise at the

@@ -183,6 +183,22 @@ class TestStableDensity:
     def test_vanishes_at_infinity(self):
         assert stable_density(1.0, math.inf) == 0.0
 
+    @pytest.mark.parametrize("k", range(9))
+    def test_weight_factor_of_every_order(self, k):
+        # finite for every s in (0, inf], 0 at s = inf, an integer-valued
+        # float order accepted, and d^k g/dt^k by mpmath.diff at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        s = np.concatenate([np.logspace(-300, 300, 601), [np.inf]])
+        for t in (1e-3, 1.0, 1e3):
+            w = semigroup._stable_weight_factor(t, s, float(k))
+            assert np.all(np.isfinite(w)) and w[-1] == 0.0
+        probe = np.array([0.01, 0.09, 0.4, 3.0])
+        got = semigroup._stable_weight_factor(0.3, probe, k)
+        with mpmath.workdps(30):
+            want = [float(mpmath.diff(lambda t: _mpmath_density(mpmath, t, mpmath.mpf(si)),
+                                      mpmath.mpf("0.3"), k)) for si in probe]
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15 * max(map(abs, want)))
+
 
 def _mpmath_density(mpmath, t, s):
     """g(t, s) = t e^{-t^2/4s} s^{-3/2} / (2 sqrt(pi)) at the working precision."""
@@ -264,9 +280,9 @@ class TestPHKernel:
         calls = []
         real = semigroup._subordinate
 
-        def subordinate(*args):
+        def subordinate(*args, **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(semigroup, "_subordinate", subordinate)
         t, tol = 0.4, 1e-9
@@ -339,7 +355,9 @@ class TestReversibility:
 
     @pytest.mark.xfail(strict=True, reason="the two orders of a pair run separate adaptive "
                        "s-integrals, which stop at different levels within tol 1e-9")
-    @pytest.mark.parametrize("t, x, y", [(0.45, 0.0, 1.0), (0.05, 0.05, -0.8792907293106635),
+    @pytest.mark.parametrize("t, x, y", [(0.45, 0.0, 1.0),
+                                         (0.4482460097150563, 0.39560241211110725,
+                                          1.5084926732137074),
                                          (0.12915338341325944, 1.04, -1.724)])
     def test_third_order_misses(self, t, x, y):
         _assert_reversible(lambda *a: ph_kernel_time_derivative(*a, 3), t, x, y)
@@ -437,11 +455,31 @@ class TestPHApply:
                       tol=1e-9)
         assert op(np.array([[-46.58]]))[0] == pytest.approx(5.55659346, abs=5e-9)
 
-    def test_subordination_derivative_above_three_unsupported(self):
-        e = HermiteExpansion(1, 1, {(1,): 1.0})
-        for f in (e, lambda p: np.cos(p[:, 0])):
-            with pytest.raises(NotImplementedError):
-                ph_apply(f, SemigroupQuery(0.5, "subordination", 4))
+    @pytest.mark.parametrize("t", [0.2, 1.0])
+    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("method", ["kernel", "subordination"])
+    def test_orders_above_three_match_the_symbol(self, method, k, t):
+        # every integer order runs on both routes, on callables and (through
+        # the multipliers) expansions: each call lands within tol of
+        # ph_symbol h_n or raises ConvergenceError
+        xs = np.linspace(-2.5, 2.5, 11)[:, None]
+        returned = 0
+        for n in (0, 1, 2, 3, 6):
+            want = ph_symbol(t, float(n), k)
+            for tol in (1e-9, 1e-7):
+                inputs = [lambda p, n=n: hermite_eval((n,), p)]
+                if method == "subordination":
+                    inputs.append(HermiteExpansion(1, n, {(n,): 1.0}))
+                for f in inputs:
+                    try:
+                        out = ph_apply(f, SemigroupQuery(t, method, k), tol=tol)
+                        got = out(xs) if callable(out) else out.coefficient((n,))
+                    except ConvergenceError:
+                        continue
+                    h = hermite_eval((n,), xs) if callable(out) else 1.0
+                    assert np.max(np.abs(got - want * h)) <= tol, (n, tol, f)
+                    returned += n > 0
+        assert returned >= 4
 
     def test_kernel_matches_spectral_on_h3(self):
         op = ph_apply(lambda p: hermite_eval((3,), p), SemigroupQuery(0.5, "kernel"),
@@ -646,9 +684,14 @@ class TestPHApply:
         assert len(calls) == 1
         assert np.array_equal(calls[0], np.concatenate(want + [x]))
 
-    def test_kernel_derivative_order_cap(self):
+    def test_pointwise_kernels_keep_their_order_cap(self):
+        # they run without the rounding guard that orders above 3 need
         with pytest.raises(NotImplementedError):
-            ph_apply(lambda p: p[:, 0], SemigroupQuery(0.5, "kernel", 4), d=1)
+            ph_kernel_time_derivative(0.5, 0.0, 0.1, 4)
+        with pytest.raises(ValueError, match="1 <= k <= 3"):
+            kernel_derivative_l1(0.5, 0.0, 4)
+        op = ph_apply(lambda p: p[:, 0], SemigroupQuery(0.5, "kernel", 4), d=1)
+        assert op(0.7) == pytest.approx(ph_symbol(0.5, 1.0, 4) * 0.7, abs=1e-8)
 
     def test_semigroup_law_spectral(self):
         e = project(lambda p: np.cos(p[:, 0]), 1, 30)
@@ -1308,3 +1351,25 @@ class TestKernelDerivativeL1:
             kernel_derivative_l1(1.0, 0.0, 4)
         with pytest.raises(ValueError):
             kernel_derivative_l1(-1.0, 0.0, 1)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_weight_mass_matches_a_piecewise_mpmath_oracle(self, k):
+        """C_k = t^k ∫|d^k g| ds at 30 digits: d^k g by mpmath.diff of g, its
+        s-zeros t^2/4z^2 from mpmath's roots z of H_{k+1}, and one quad per
+        piece (a plain 15-digit quad of |d^4 g| is 6% off)."""
+        mpmath = pytest.importorskip("mpmath")
+        listed = {4: 29.868195581745005, 5: 188.50254444157136, 6: 1457.3610964595488}
+        with mpmath.workdps(30):
+            def g(t, s):
+                return t * mpmath.exp(-t * t / (4 * s)) * s ** mpmath.mpf(-1.5) / (
+                    2 * mpmath.sqrt(mpmath.pi))
+
+            zs = [mpmath.findroot(lambda u: mpmath.hermite(k + 1, u), z)
+                  for z in np.polynomial.hermite.hermgauss(k + 1)[0] if z > 0.1]
+            kinks = sorted(1 / (4 * z * z) for z in zs)
+            want = float(mpmath.quad(lambda s: abs(mpmath.diff(lambda t: g(t, s), 1, k)),
+                                     [0, *kinks, mpmath.inf]))
+        assert want == pytest.approx(listed.get(k, want), rel=1e-15)
+        for t in (1e-3, 1.0, 7.0):
+            assert derivative_weight_mass(t, k) * t ** k == pytest.approx(want, rel=1e-15)
+        assert derivative_weight_mass(0.5, float(k)) == derivative_weight_mass(0.5, k)
